@@ -1,7 +1,7 @@
 """Interacting string by reweighting and by Markov chain.
 
 Importance sampling attaches Boltzmann weights to free trajectories;
-the Metropolis chain targets the same tilted law directly.  The two
+the Metropolis chain targets the same repelling law directly.  The two
 routes should agree, the partition function should respect its
 convexity lower bound, and a two-site chain has a closed form to pin
 the whole construction down.
@@ -16,14 +16,14 @@ from polymerlab import (build_basis, estimate_measure, jensen_lower_bound,
 
 def main():
     J, T, beta, eps = 6, 24, 0.05, 0.5
-    ens = sample_ensemble(J, T, beta, eps, count=40_000, seed=11)
+    b = build_basis(J)
+    ens = sample_ensemble(b, T, beta, eps, count=40_000, seed=11)
     imp = estimate_measure(ens, "R")
     print(f"importance sampling  (J={J}, T={T}, beta={beta}):")
     print(f"  E_Q[R] = {imp['Q_mean']:.4f} +- {imp['Q_se']:.4f}   "
           f"ESS = {imp['ess']:.0f}/{len(ens)}")
     print(f"  (1/T) log Z = {imp['log_Z_hat'] / T:+.5f}")
 
-    b = build_basis(J)
     chain = metropolis_sampler(b, T, beta, eps, 4000, seed=11, thin=5,
                                burnin=200)
     met = estimate_measure(chain, "R")

@@ -30,8 +30,8 @@ from .experiments import (ConfigError, ScalingReport, StudyConfig,
                           scaling_exact_r2, validation_manifest)
 from .gibbs import (SamplerDegeneracyError, WeightedEnsemble,
                     boltzmann_log_weight, estimate_measure,
-                    jensen_lower_bound, log_mgf, metropolis_sampler,
-                    pair_proximity_bound, sample_ensemble, tilted_ensemble)
+                    jensen_lower_bound, metropolis_sampler,
+                    pair_proximity_bound, sample_ensemble, sample_measure)
 from .increments import (IncrementStat, ScanResult, ScanRow,
                          increment_mean_and_variance,
                          min_variance_by_distance,
@@ -42,8 +42,7 @@ from .observables import (InequalityReport, OccupancyHistogram,
                           intersection_counts_batch, local_inequality_check,
                           mean_height_series, observable_record,
                           occupancy_histogram, radius_of_gyration,
-                          self_intersection_count,
-                          self_intersection_count_brute)
+                          self_intersection_count)
 from .spectral import (MAX_J, Basis, Convention, build_basis,
                        cosecant_square_sum, green_function,
                        normalizing_constant_c0, transition_matrix,

@@ -294,23 +294,3 @@ def tail_probe(params: AR1Params, T: int, K: float, samples: int,
             "underpowered": exceed < 20,
             "T": T, "K": K, "samples": samples}
 
-
-def ldp_rows_to_csv(rows: list) -> str:
-    """Serialize rate-table and tail-probe rows.
-
-    Columns: rho, sigma2, x_or_K, value, empirical, T, samples.  Rate
-    rows leave the last three fields empty.
-    """
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return f"{v:.12g}"
-
-    lines = ["rho,sigma2,x_or_K,value,empirical,T,samples"]
-    for r in rows:
-        lines.append(",".join(fmt(r.get(k)) for k in
-                              ("rho", "sigma2", "x_or_K", "value",
-                               "empirical", "T", "samples")))
-    return "\n".join(lines) + "\n"

@@ -14,19 +14,20 @@ import sys
 
 import numpy as np
 
-from .ar1 import AR1Params, ldp_rows_to_csv, rate_function, tail_probe
+from .ar1 import AR1Params, rate_function, tail_probe
 from .dynamics import (sample_noise, simulate_recursion, trajectory_to_csv,
                        write_trajectory_binary)
 from .experiments import (ConfigError, StudyConfig, _json_line, load_config,
                           quantize12, rows_to_csv, run_scaling_study,
                           run_tail_probes, run_validation_suite)
-from .gibbs import (SamplerDegeneracyError, estimate_measure,
-                    metropolis_sampler, sample_ensemble, tilted_ensemble)
+from .gibbs import SamplerDegeneracyError, estimate_measure, sample_measure
 from .increments import variance_scaling_scan
 from .spectral import build_basis, cosecant_square_sum, normalizing_constant_c0
 
 _SCAN_FIELDS = ("J", "i", "j", "d", "convention", "variance", "ratio",
                 "reflected_i", "reflected_j", "reflected_variance")
+_LDP_FIELDS = ("rho", "sigma2", "x_or_K", "value", "empirical", "T",
+               "samples")
 
 
 def _shared_flags(p: argparse.ArgumentParser):
@@ -172,24 +173,13 @@ def _cmd_variance_scan(args) -> int:
 
 def _cmd_gibbs(args) -> int:
     cfg = _config_from(args)
+    if cfg.drift != 0.0:
+        raise ConfigError("gibbs takes no drift: a uniform drift changes "
+                          "neither R nor the pair counts")
     J = cfg.J_list[0]
-    basis = build_basis(J, cfg.kappa)
-    if cfg.sampler == "metropolis":
-        ens = metropolis_sampler(basis, cfg.T, cfg.beta, cfg.epsilon,
-                                 cfg.replicates, cfg.seed,
-                                 conv=cfg.convention)
-    elif cfg.drift != 0.0:
-        ens = tilted_ensemble(J, cfg.T, cfg.beta, cfg.epsilon, cfg.drift,
-                              cfg.replicates, cfg.seed, cfg.kappa)
-    else:
-        ens = sample_ensemble(J, cfg.T, cfg.beta, cfg.epsilon,
-                              cfg.replicates, cfg.seed, cfg.kappa)
-        if cfg.sampler == "auto":
-            from .gibbs import _ess
-            if _ess(ens.log_weights) < min(cfg.ess_floor, len(ens)):
-                ens = metropolis_sampler(basis, cfg.T, cfg.beta,
-                                         cfg.epsilon, cfg.replicates,
-                                         cfg.seed, conv=cfg.convention)
+    ens = sample_measure(build_basis(J, cfg.kappa), cfg.T, cfg.beta,
+                         cfg.epsilon, cfg.replicates, cfg.seed, cfg.sampler,
+                         cfg.ess_floor, conv=cfg.convention)
     est = estimate_measure(ens, "R", ess_floor=cfg.ess_floor)
     out = {"J": J, "T": cfg.T, "beta": cfg.beta, "epsilon": cfg.epsilon,
            "base_measure": ens.base_measure, **est}
@@ -215,7 +205,8 @@ def _cmd_ldp(args) -> int:
                      "empirical": quantize12(
                          probe["empirical_log_prob_over_T"]),
                      "T": cfg.T, "samples": cfg.replicates})
-    _write_or_print(ldp_rows_to_csv(rows), cfg.output_dir, "ldp.csv")
+    _write_or_print(rows_to_csv(_LDP_FIELDS, rows), cfg.output_dir,
+                    "ldp.csv")
     return 0
 
 

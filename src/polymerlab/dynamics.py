@@ -15,6 +15,7 @@ exploit.
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from .spectral import Basis, Convention, green_function
 
 _BINARY_MAGIC = b"PLY1"
-_BINARY_VERSION = 1
+_BINARY_VERSION = 2
+_BINARY_HEADERS = {1: "<4sIIIqB", 2: "<4sIIIqBd"}    # version 2 adds kappa
 
 
 @dataclass(frozen=True)
@@ -313,28 +315,43 @@ def trajectory_to_csv(traj: Trajectory, path=None):
 
 
 def write_trajectory_binary(traj: Trajectory, path) -> None:
-    """Compact dump: header (magic 'PLY1', version, J, T, seed, convention
-    byte: 0 literal / 1 paper) followed by the field as little-endian
-    float64 in C order."""
+    """Compact dump: header (magic 'PLY1', version 2, J, T, seed,
+    convention byte: 0 literal / 1 paper, kappa as float64) followed by
+    the field as little-endian float64 in C order."""
     seed = -1 if traj.seed is None else int(traj.seed)
     conv_byte = 0 if traj.convention is Convention.LITERAL else 1
-    header = struct.pack("<4sIIIqB", _BINARY_MAGIC, _BINARY_VERSION,
-                         traj.J, traj.T, seed, conv_byte)
+    header = struct.pack(_BINARY_HEADERS[_BINARY_VERSION], _BINARY_MAGIC,
+                         _BINARY_VERSION, traj.J, traj.T, seed, conv_byte,
+                         traj.kappa)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(traj.u, dtype="<f8").tobytes())
 
 
 def read_trajectory_binary(path) -> Trajectory:
-    head_size = struct.calcsize("<4sIIIqB")
+    """Inverse of write_trajectory_binary.  A version-1 dump stores no
+    kappa and reads back with kappa 0.5 and a warning; a file whose
+    length does not match its header raises ValueError."""
     with open(path, "rb") as fh:
-        magic, version, J, T, seed, conv_byte = struct.unpack(
-            "<4sIIIqB", fh.read(head_size))
-        if magic != _BINARY_MAGIC:
-            raise ValueError(f"not a trajectory dump (magic {magic!r})")
-        if version != _BINARY_VERSION:
-            raise ValueError(f"unsupported dump version {version}")
-        body = fh.read(8 * (T + 1) * J)
-    u = np.frombuffer(body, dtype="<f8").reshape(T + 1, J).copy()
+        data = fh.read()
+    magic, version = data[:4], int.from_bytes(data[4:8], "little")
+    if magic != _BINARY_MAGIC:
+        raise ValueError(f"not a trajectory dump (magic {magic!r})")
+    if version not in _BINARY_HEADERS:
+        raise ValueError(f"unsupported dump version {version}")
+    fmt = _BINARY_HEADERS[version]
+    head = struct.calcsize(fmt)
+    if len(data) < head:
+        raise ValueError(f"{path}: expected a {head}-byte header, found "
+                         f"{len(data)} bytes")
+    _, _, J, T, seed, conv_byte, *kappa = struct.unpack_from(fmt, data)
+    if len(data) != head + 8 * (T + 1) * J:
+        raise ValueError(f"{path}: expected {head + 8 * (T + 1) * J} bytes "
+                         f"for T={T}, J={J}, found {len(data)}")
+    if not kappa:
+        warnings.warn(f"{path}: version-1 dump stores no kappa; reading "
+                      f"kappa as 0.5", UserWarning)
+    u = np.frombuffer(data, dtype="<f8", offset=head).reshape(T + 1, J).copy()
     conv = Convention.LITERAL if conv_byte == 0 else Convention.PAPER
-    return Trajectory(u=u, convention=conv, seed=None if seed < 0 else seed)
+    return Trajectory(u=u, kappa=kappa[0] if kappa else 0.5, convention=conv,
+                      seed=None if seed < 0 else seed)

@@ -24,8 +24,8 @@ from .ar1 import AR1Params, legendre_rate, rate_function
 from .dynamics import (counter_rng, mode_innovation_std, sample_noise,
                        simulate_recursion, solution_formula,
                        stationary_mode_std)
-from .gibbs import (SamplerDegeneracyError, _ess, jensen_lower_bound,
-                    metropolis_sampler, sample_ensemble)
+from .gibbs import (SAMPLERS, SamplerDegeneracyError, jensen_lower_bound,
+                    sample_measure)
 from .increments import monte_carlo_increment_check
 from .observables import intersection_counts_batch, local_inequality_check
 from .spectral import (Basis, Convention, build_basis, cosecant_square_sum,
@@ -55,9 +55,6 @@ def _parse_convention(s):
         return Convention(str(s).lower())
     except ValueError as exc:
         raise ConfigError(f"unknown convention {s!r}") from exc
-
-
-_SAMPLERS = ("importance", "metropolis", "auto")
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,8 @@ class StudyConfig:
             raise ConfigError("beta must be nonnegative")
         if self.epsilon <= 0.0:
             raise ConfigError("epsilon must be positive")
-        if self.sampler not in _SAMPLERS:
-            raise ConfigError(f"sampler must be one of {_SAMPLERS}")
+        if self.sampler not in SAMPLERS:
+            raise ConfigError(f"sampler must be one of {SAMPLERS}")
         if self.replicates < 1:
             raise ConfigError("replicates must be positive")
         if self.ess_floor <= 0.0:
@@ -241,53 +238,35 @@ def _weighted_rms_quantiles(R: np.ndarray, log_w: np.ndarray,
     return rms, quants
 
 
+def _stationary_cell_r(config: StudyConfig, basis: Basis, T: int, key: int,
+                       tag: int, sampler: str):
+    """Gyration radii of one study cell started from the stationary law:
+    sampled directly at beta=0, through sample_measure otherwise.
+    Returns (R, log weights or None, ESS or acceptance, sampler label)."""
+    reps, conv = config.replicates, config.convention
+    if config.beta == 0.0:
+        rng = counter_rng(config.seed, tag, key)
+        return (_stationary_mode_r(basis, T, reps, rng, conv), None,
+                float(reps), "direct")
+    ens = sample_measure(basis, T, config.beta, config.epsilon, reps,
+                         config.seed * 1000003 + key, sampler,
+                         config.ess_floor, "stationary", conv)
+    R = ens.obs["R"]
+    if ens.base_measure == "P_T":
+        return R, ens.log_weights, ens.diagnostics["ess"], "importance"
+    return R, None, ens.diagnostics["acceptance_rate"], "metropolis"
+
+
 def _scaling_cell(config: StudyConfig, J: int) -> dict:
-    """One J row.  beta=0 samples the stationary free law directly;
-    beta>0 goes through the configured sampler, AUTO falling back to
-    Metropolis when importance weights degenerate."""
+    """One J row; a sampler degeneracy flags the row instead of failing
+    the study."""
     basis = build_basis(J, config.kappa)
-    T, conv, reps = config.T, config.convention, config.replicates
-    exact = np.sqrt(scaling_exact_r2(basis, T, conv))
+    exact = np.sqrt(scaling_exact_r2(basis, config.T, config.convention))
     row = {"J": J, "beta": config.beta, "flagged": False,
            "R_exact": quantize12(exact)}
-
-    def importance_cell():
-        ens = sample_ensemble(J, T, config.beta, config.epsilon, reps,
-                              config.seed * 1000003 + J, config.kappa)
-        ess = _ess(ens.log_weights)
-        if ess < min(config.ess_floor, reps):
-            raise SamplerDegeneracyError(
-                f"ESS {ess:.1f} below floor at J={J}")
-        rms, (q05, q95) = _weighted_rms_quantiles(ens.obs["R"],
-                                                  ens.log_weights)
-        return rms, q05, q95, ess, "importance"
-
-    def metropolis_cell():
-        ens = metropolis_sampler(basis, T, config.beta, config.epsilon,
-                                 reps, config.seed * 1000003 + J,
-                                 init="stationary", conv=conv)
-        R = ens.obs["R"]
-        rms = float(np.sqrt(np.mean(R ** 2)))
-        q05, q95 = np.quantile(R, [0.05, 0.95])
-        return (rms, float(q05), float(q95),
-                ens.diagnostics["acceptance_rate"], "metropolis")
-
     try:
-        if config.beta == 0.0:
-            rng = counter_rng(config.seed, 10, J)
-            R = _stationary_mode_r(basis, T, reps, rng, conv)
-            rms = float(np.sqrt(np.mean(R ** 2)))
-            q05, q95 = np.quantile(R, [0.05, 0.95])
-            stats = (rms, float(q05), float(q95), float(reps), "direct")
-        elif config.sampler == "importance":
-            stats = importance_cell()
-        elif config.sampler == "metropolis":
-            stats = metropolis_cell()
-        else:
-            try:
-                stats = importance_cell()
-            except SamplerDegeneracyError:
-                stats = metropolis_cell()
+        R, log_w, diag, label = _stationary_cell_r(config, basis, config.T,
+                                                   J, 10, config.sampler)
     except SamplerDegeneracyError as exc:
         row.update({"R_mean": float("nan"), "R_q05": float("nan"),
                     "R_q95": float("nan"), "ESS_or_acceptance": 0.0,
@@ -295,7 +274,11 @@ def _scaling_cell(config: StudyConfig, J: int) -> dict:
                     "detail": str(exc)})
         return row
 
-    rms, q05, q95, diag, label = stats
+    if log_w is None:
+        rms = float(np.sqrt(np.mean(R ** 2)))
+        q05, q95 = np.quantile(R, [0.05, 0.95])
+    else:
+        rms, (q05, q95) = _weighted_rms_quantiles(R, log_w)
     row.update({"R_mean": quantize12(rms), "R_q05": quantize12(q05),
                 "R_q95": quantize12(q95),
                 "ESS_or_acceptance": quantize12(diag), "sampler": label})
@@ -368,18 +351,8 @@ def run_scaling_study(config: StudyConfig) -> ScalingReport:
 def _tail_cell(config: StudyConfig, T: int, K1: float, K2: float) -> dict:
     J = config.J_list[0]
     basis = build_basis(J, config.kappa)
-    reps = config.replicates
-    if config.beta == 0.0:
-        rng = counter_rng(config.seed, 20, T)
-        R = _stationary_mode_r(basis, T, reps, rng, config.convention)
-        diag, label = float(reps), "direct"
-    else:
-        ens = metropolis_sampler(basis, T, config.beta, config.epsilon,
-                                 reps, config.seed * 1000003 + T,
-                                 init="stationary",
-                                 conv=config.convention)
-        R = ens.obs["R"]
-        diag, label = ens.diagnostics["acceptance_rate"], "metropolis"
+    R, _, diag, label = _stationary_cell_r(config, basis, T, T, 20,
+                                           "metropolis")
     n = len(R)
     lo_count = int(np.count_nonzero(R < K1 * J))
     hi_count = int(np.count_nonzero(R > K2 * J))

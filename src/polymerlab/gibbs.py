@@ -1,6 +1,7 @@
 """The self-repelling measure: Boltzmann reweighting of the Gaussian
-string, importance sampling and Metropolis sampling of it, the tilted
-base measure, and the variational lower bound on the partition function.
+string, importance sampling and Metropolis sampling of it behind one
+sampler selector, and the variational lower bound on the partition
+function.
 
 Weights live on a fixed logarithmic scale.  The near-pair count obeys
 J <= N(t) <= J^2, so the total log weight -beta * sum_t N(t) lies in
@@ -13,7 +14,7 @@ beta*T*J ~ 700.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -22,8 +23,10 @@ from scipy.stats import norm
 from .dynamics import (counter_rng, mode_innovation_std, neumann_laplacian,
                        sample_stationary_field, stationary_mode_std)
 from .increments import min_variance_by_distance
-from .observables import intersection_counts_batch, self_intersection_count
+from .observables import intersection_counts_batch
 from .spectral import Basis, Convention
+
+SAMPLERS = ("importance", "metropolis", "auto")
 
 
 class SamplerDegeneracyError(RuntimeError):
@@ -35,14 +38,7 @@ def boltzmann_log_weight(traj, beta: float, epsilon: float) -> float:
     """-beta * sum over t = 1..T of the near-pair count N_eps(t)."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    total = sum(self_intersection_count(traj, t, epsilon)
-                for t in range(1, traj.T + 1))
-    return -beta * total
-
-
-def log_mgf(a: float) -> float:
-    """Log moment generating function of a standard normal: a^2/2."""
-    return 0.5 * a * a
+    return -beta * float(intersection_counts_batch(traj.u[1:], epsilon).sum())
 
 
 @dataclass(frozen=True)
@@ -50,9 +46,8 @@ class WeightedEnsemble:
     """Observable arrays with log weights.
 
     For base_measure "P_T" the weights are the Boltzmann factors and
-    self-normalizing reweights to the repelling measure; for a tilted
-    base "TILTED(a)" they are the likelihood-ratio corrections that
-    reweight back to P_T.  Metropolis output has unit weights.
+    self-normalizing reweights to the repelling measure.  Metropolis
+    output has unit weights.
     """
 
     obs: dict
@@ -68,9 +63,17 @@ class WeightedEnsemble:
         return len(self.log_weights)
 
 
-def _ess(log_w: np.ndarray) -> float:
-    lw = log_w - log_w.max()
-    return float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
+def _checked_ess(ensemble: WeightedEnsemble, ess_floor: float) -> float:
+    """Effective sample size of the weights; raises SamplerDegeneracyError
+    when it is under min(ess_floor, n)."""
+    lw = ensemble.log_weights - ensemble.log_weights.max()
+    ess = float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
+    # float slack: uniform weights give ess = n only up to rounding
+    if ess < min(ess_floor, len(ensemble)) * (1.0 - 1e-12):
+        raise SamplerDegeneracyError(
+            f"effective sample size {ess:.1f} below floor {ess_floor} at "
+            f"beta={ensemble.beta}, T={ensemble.T}, J={ensemble.J}")
+    return ess
 
 
 def estimate_measure(ensemble: WeightedEnsemble, observable: str = "R",
@@ -88,12 +91,7 @@ def estimate_measure(ensemble: WeightedEnsemble, observable: str = "R",
     if observable not in ensemble.obs:
         raise KeyError(f"unknown observable {observable!r}")
     lw = ensemble.log_weights
-    ess = _ess(lw)
-    # float slack: uniform weights give ess = n only up to rounding
-    if ess < min(ess_floor, n) * (1.0 - 1e-12):
-        raise SamplerDegeneracyError(
-            f"effective sample size {ess:.1f} below floor {ess_floor} at "
-            f"beta={ensemble.beta}, T={ensemble.T}, J={ensemble.J}")
+    ess = _checked_ess(ensemble, ess_floor)
     log_z = None
     log_z_se = None
     if ensemble.base_measure == "P_T":
@@ -110,72 +108,70 @@ def estimate_measure(ensemble: WeightedEnsemble, observable: str = "R",
             "Q_se": q_se, "ess": ess, "n": n}
 
 
-def _batch_trajectories(J, T, count, rng, drift=0.0, kappa=0.5,
-                        epsilon=None):
-    """Simulate `count` recursion trajectories at once from the zero
-    profile, returning per-item (R, N_sum, xi_sum).  Memory stays
-    O(count*J) by accumulating across time."""
-    u = np.zeros((count, J))
-    sq_acc = np.zeros(count)
-    n_acc = np.zeros(count, dtype=np.int64)
-    xi_sum = np.zeros(count)
-    for _ in range(T):
-        xi = drift + rng.standard_normal((count, J))
-        xi_sum += xi.sum(axis=1)
-        u = u + kappa * neumann_laplacian(u) + xi
-        dev = u - u.mean(axis=1, keepdims=True)
-        sq_acc += (dev ** 2).sum(axis=1)
-        if epsilon is not None:
-            n_acc += intersection_counts_batch(u, epsilon)
-    R = np.sqrt(sq_acc / (T * J))
-    return R, n_acc, xi_sum
-
-
-def sample_ensemble(J: int, T: int, beta: float, epsilon: float, count: int,
-                    seed: int, kappa: float = 0.5,
+def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
+                    count: int, seed: int, init: str = "zero",
+                    conv: Convention = Convention.LITERAL,
                     chunk: int = 20_000) -> WeightedEnsemble:
-    """Importance-sampling ensemble: free trajectories from the zero
-    profile, Boltzmann log weights attached."""
+    """Importance-sampling ensemble: free trajectories from the base law
+    that metropolis_sampler targets (same init and convention), with
+    Boltzmann log weights attached.  init "stationary" draws the first
+    row from the exact stationary law of the modes m >= 1.  Chunks of
+    `count` run as one batch each, accumulating R and the pair counts
+    across time so memory stays O(chunk*J)."""
+    if init not in ("zero", "stationary"):
+        raise ValueError(f"unknown init {init!r}")
+    J = basis.J
+    # LITERAL drives every mode with unit innovations: white site noise
+    sig = (None if conv is Convention.LITERAL
+           else mode_innovation_std(basis, conv))
     rng = counter_rng(seed)
     Rs, Ns = [], []
-    done = 0
-    while done < count:
+    for done in range(0, count, chunk):
         c = min(chunk, count - done)
-        R, n_sum, _ = _batch_trajectories(J, T, c, rng, kappa=kappa,
-                                          epsilon=epsilon)
-        Rs.append(R)
-        Ns.append(n_sum)
-        done += c
-    R = np.concatenate(Rs)
+        u = (sample_stationary_field(basis, rng, c, conv)
+             if init == "stationary" else np.zeros((c, J)))
+        sq_acc = np.zeros(c)
+        n_acc = np.zeros(c, dtype=np.int64)
+        for _ in range(T):
+            xi = rng.standard_normal((c, J))
+            if sig is not None:
+                xi = (xi * sig) @ basis.e
+            u = u + basis.kappa * neumann_laplacian(u) + xi
+            dev = u - u.mean(axis=1, keepdims=True)
+            sq_acc += (dev ** 2).sum(axis=1)
+            n_acc += intersection_counts_batch(u, epsilon)
+        Rs.append(np.sqrt(sq_acc / (T * J)))
+        Ns.append(n_acc)
     n_sum = np.concatenate(Ns)
-    return WeightedEnsemble(obs={"R": R, "N_sum": n_sum},
+    return WeightedEnsemble(obs={"R": np.concatenate(Rs), "N_sum": n_sum},
                             log_weights=-beta * n_sum.astype(float),
                             beta=beta, epsilon=epsilon, base_measure="P_T",
                             J=J, T=T)
 
 
-def tilted_ensemble(J: int, T: int, beta: float, epsilon: float, a: float,
-                    count: int, seed: int, kappa: float = 0.5,
-                    chunk: int = 20_000) -> WeightedEnsemble:
-    """Trajectories driven by Normal(a, 1) noise with the likelihood-ratio
-    correction sum_{t,n} (log_mgf(a) - a*xi) as log weight, so reweighted
-    averages reproduce the undrifted statistics."""
-    rng = counter_rng(seed)
-    Rs, Ns, Cs = [], [], []
-    done = 0
-    while done < count:
-        c = min(chunk, count - done)
-        R, n_sum, xi_sum = _batch_trajectories(J, T, c, rng, drift=a,
-                                               kappa=kappa, epsilon=epsilon)
-        Rs.append(R)
-        Ns.append(n_sum)
-        Cs.append(T * J * log_mgf(a) - a * xi_sum)
-        done += c
-    return WeightedEnsemble(obs={"R": np.concatenate(Rs),
-                                 "N_sum": np.concatenate(Ns)},
-                            log_weights=np.concatenate(Cs),
-                            beta=beta, epsilon=epsilon,
-                            base_measure=f"TILTED({a})", J=J, T=T)
+def sample_measure(basis: Basis, T: int, beta: float, epsilon: float,
+                   count: int, seed: int, sampler: str = "importance",
+                   ess_floor: float = 50.0, init: str = "zero",
+                   conv: Convention = Convention.LITERAL) -> WeightedEnsemble:
+    """Sample the repelling measure.  "importance" returns the weighted
+    free ensemble with its ESS in the diagnostics and raises
+    SamplerDegeneracyError under the ESS floor; "metropolis" runs the
+    chain; "auto" falls back from the first to the second.  Both start
+    from the same base law (init, conv), so AUTO never changes the target.
+    """
+    if sampler not in SAMPLERS:
+        raise ValueError(f"sampler must be one of {SAMPLERS}")
+    if sampler != "metropolis":
+        ens = sample_ensemble(basis, T, beta, epsilon, count, seed, init,
+                              conv)
+        try:
+            return replace(ens, diagnostics={
+                "ess": _checked_ess(ens, ess_floor)})
+        except SamplerDegeneracyError:
+            if sampler == "importance":
+                raise
+    return metropolis_sampler(basis, T, beta, epsilon, count, seed,
+                              init=init, conv=conv)
 
 
 def jensen_lower_bound(basis: Basis, T: int, beta: float, epsilon: float,
@@ -200,7 +196,7 @@ def jensen_lower_bound(basis: Basis, T: int, beta: float, epsilon: float,
     bound = -beta * en - 0.5 * a * a * J
     bound_se = beta * en_se
 
-    ens = sample_ensemble(J, T, beta, epsilon, samples, seed, basis.kappa)
+    ens = sample_ensemble(basis, T, beta, epsilon, samples, seed, conv=conv)
     est = estimate_measure(ens, "R", ess_floor=ess_floor)
     logz_t = est["log_Z_hat"] / T
     logz_t_se = est["log_Z_se"] / T

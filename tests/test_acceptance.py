@@ -79,8 +79,8 @@ def test_criterion_3_increment_variances():
 
 def test_criterion_4_reweighting_consistency():
     # single site: the weight is constant, so the estimate is exact
-    ens = sample_ensemble(J=1, T=16, beta=0.25, epsilon=0.5, count=200,
-                          seed=SEED)
+    ens = sample_ensemble(build_basis(1), T=16, beta=0.25, epsilon=0.5,
+                          count=200, seed=SEED)
     est = estimate_measure(ens, "R")
     assert est["log_Z_hat"] == pytest.approx(-0.25 * 16, abs=1e-12)
 
@@ -92,7 +92,7 @@ def test_criterion_4_reweighting_consistency():
     # chain marginal against direct free sampling at beta = 0
     chain = metropolis_sampler(b4, 8, 0.0, 0.5, 2000, seed=SEED,
                                thin=10, burnin=100)
-    direct = sample_ensemble(J=4, T=8, beta=0.0, epsilon=0.5, count=2000,
+    direct = sample_ensemble(b4, T=8, beta=0.0, epsilon=0.5, count=2000,
                              seed=77)
     ks = ks_2samp(chain.obs["R"], direct.obs["R"])
     assert ks.pvalue > 0.01, f"KS p={ks.pvalue:.4f}"

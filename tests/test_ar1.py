@@ -4,11 +4,13 @@ import pytest
 from polymerlab.ar1 import (AR1Params, CumulantDomainError,
                             DegenerateProcessError, cumulant_fixed_point,
                             cumulant_threshold, gyration_spectral_identity,
-                            ldp_rows_to_csv, legendre_rate, mode_decompose,
+                            legendre_rate, mode_decompose,
                             ar1_params_for_mode, rate_function,
                             rate_function_as_printed, reconstruct_centered,
                             tail_probe)
+from polymerlab.cli import _LDP_FIELDS
 from polymerlab.dynamics import NoiseField, sample_noise, simulate_recursion
+from polymerlab.experiments import rows_to_csv
 from polymerlab.spectral import Convention, build_basis
 
 
@@ -247,7 +249,7 @@ def test_ldp_csv_shape():
              "empirical": None, "T": None, "samples": None},
             {"rho": 0.5, "sigma2": 1.0, "x_or_K": 2.0, "value": 0.25,
              "empirical": 0.31, "T": 50, "samples": 100_000}]
-    text = ldp_rows_to_csv(rows)
+    text = rows_to_csv(_LDP_FIELDS, rows)
     lines = text.strip().split("\n")
     assert lines[0] == "rho,sigma2,x_or_K,value,empirical,T,samples"
     assert lines[1].endswith(",,,")

@@ -76,6 +76,22 @@ def test_gibbs_metropolis_smoke(capsys):
     assert "acceptance" in out
 
 
+def test_gibbs_rejects_drift(capsys):
+    # a uniform drift changes neither R nor N, so it has no place in gibbs
+    code, _, err = run(capsys, "gibbs", "--J", "8", "--T", "32", "--drift",
+                       "0.05", "--sampler", "importance", "--replicates",
+                       "200")
+    assert code == 2
+    assert "configuration error" in err
+
+
+def test_gibbs_auto_keeps_importance_for_uniform_weights(capsys):
+    code, out, _ = run(capsys, "gibbs", "--sampler", "auto", "--beta", "0",
+                       "--replicates", "50")
+    assert code == 0
+    assert '"base_measure":"P_T"' in out
+
+
 def test_ldp_rate_rows(capsys):
     code, out, _ = run(capsys, "ldp", "--rho", "0.5", "--x", "1,2,4")
     assert code == 0

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,39 @@ def test_binary_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError):
+        read_trajectory_binary(path)
+
+
+def test_binary_stores_kappa(tmp_path):
+    traj = simulate_recursion(np.zeros(5), sample_noise(9, 4, 5), kappa=0.3)
+    path = tmp_path / "k.bin"
+    write_trajectory_binary(traj, path)
+    assert read_trajectory_binary(path).kappa == 0.3
+
+
+def test_binary_reads_version_one_with_warning(tmp_path):
+    u = np.arange(6.0).reshape(3, 2)
+    path = tmp_path / "v1.bin"
+    path.write_bytes(struct.pack("<4sIIIqB", b"PLY1", 1, 2, 2, 17, 1)
+                     + u.astype("<f8").tobytes())
+    with pytest.warns(UserWarning, match="kappa"):
+        back = read_trajectory_binary(path)
+    assert np.array_equal(back.u, u)
+    assert (back.kappa, back.seed) == (0.5, 17)
+    assert back.convention is Convention.PAPER
+
+
+def test_binary_short_file_names_file_and_sizes(tmp_path):
+    traj = simulate_recursion(np.zeros(5), sample_noise(9, 4, 5))
+    path = tmp_path / "cut.bin"
+    write_trajectory_binary(traj, path)
+    full = path.read_bytes()
+    path.write_bytes(full[:-3])
+    with pytest.raises(ValueError, match=rf"cut\.bin.*{len(full)}.*"
+                                         rf"{len(full) - 3}"):
+        read_trajectory_binary(path)
+    path.write_bytes(full[:20])
+    with pytest.raises(ValueError, match="cut.bin"):
         read_trajectory_binary(path)
 
 

@@ -145,6 +145,18 @@ def test_scaling_auto_falls_back_to_metropolis():
     assert rep.n_used == 3
 
 
+@pytest.mark.parametrize("conv", ["literal", "paper"])
+def test_scaling_importance_samples_the_stationary_law(conv):
+    # importance must sample the same law as Metropolis and R_exact: the
+    # stationary start under the configured convention
+    cfg = StudyConfig(J_list=(8, 16, 32), T=64, beta=1e-6, replicates=400,
+                      sampler="importance", convention=conv, seed=0)
+    rep = run_scaling_study(cfg)
+    for r in rep.rows:
+        assert r["sampler"] == "importance"
+        assert r["R_mean"] == pytest.approx(r["R_exact"], rel=0.05)
+
+
 def test_tail_probe_requires_horizons():
     with pytest.raises(ConfigError):
         run_tail_probes(_small_cfg(), 0.1, 0.2)

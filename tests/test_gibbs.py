@@ -4,12 +4,12 @@ from scipy.stats import norm
 
 from polymerlab.dynamics import (counter_rng, sample_stationary_field,
                                  stationary_mode_std)
+from polymerlab.experiments import scaling_exact_r2
 from polymerlab.gibbs import (SamplerDegeneracyError, WeightedEnsemble,
                               boltzmann_log_weight, estimate_measure,
-                              jensen_lower_bound, log_mgf,
-                              metropolis_accept, metropolis_sampler,
-                              pair_proximity_bound, sample_ensemble,
-                              tilted_ensemble)
+                              jensen_lower_bound, metropolis_accept,
+                              metropolis_sampler, pair_proximity_bound,
+                              sample_ensemble, sample_measure)
 from polymerlab.observables import intersection_counts_batch
 from polymerlab.spectral import Convention, build_basis
 
@@ -24,21 +24,17 @@ def test_log_weight_bounds_and_single_site():
     assert boltzmann_log_weight(traj1, 0.3, 0.5) == pytest.approx(-0.3 * 5)
 
 
-def test_log_mgf_quadratic():
-    assert log_mgf(0.0) == 0.0
-    assert log_mgf(2.0) == pytest.approx(2.0)
-
-
 def test_single_site_partition_is_exact():
-    ens = sample_ensemble(J=1, T=8, beta=0.3, epsilon=0.5, count=100,
-                          seed=3)
+    ens = sample_ensemble(build_basis(1), T=8, beta=0.3, epsilon=0.5,
+                          count=100, seed=3)
     est = estimate_measure(ens, "R")
     assert est["log_Z_hat"] == pytest.approx(-0.3 * 8, abs=1e-12)
     assert est["log_Z_se"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zero_beta_partition_is_one():
-    ens = sample_ensemble(J=3, T=4, beta=0.0, epsilon=0.5, count=50, seed=1)
+    ens = sample_ensemble(build_basis(3), T=4, beta=0.0, epsilon=0.5,
+                          count=50, seed=1)
     est = estimate_measure(ens, "R")
     assert est["log_Z_hat"] == pytest.approx(0.0, abs=1e-12)
     assert est["ess"] == pytest.approx(50.0)
@@ -55,7 +51,8 @@ def test_weighted_mean_hand_example():
 
 
 def test_estimate_unknown_observable():
-    ens = sample_ensemble(J=2, T=2, beta=0.0, epsilon=0.5, count=10, seed=0)
+    ens = sample_ensemble(build_basis(2), T=2, beta=0.0, epsilon=0.5,
+                          count=10, seed=0)
     with pytest.raises(KeyError):
         estimate_measure(ens, "bogus")
 
@@ -71,38 +68,61 @@ def test_ess_floor_raises():
 
 
 def test_sample_ensemble_deterministic():
-    a = sample_ensemble(J=4, T=6, beta=0.1, epsilon=0.5, count=40, seed=7)
-    b = sample_ensemble(J=4, T=6, beta=0.1, epsilon=0.5, count=40, seed=7)
+    b4 = build_basis(4)
+    a = sample_ensemble(b4, T=6, beta=0.1, epsilon=0.5, count=40, seed=7)
+    b = sample_ensemble(b4, T=6, beta=0.1, epsilon=0.5, count=40, seed=7)
     assert np.array_equal(a.obs["R"], b.obs["R"])
     assert np.array_equal(a.log_weights, b.log_weights)
 
 
 def test_chunk_remainder_handled():
-    ens = sample_ensemble(J=3, T=4, beta=0.1, epsilon=0.5, count=50, seed=2,
-                          chunk=7)
+    ens = sample_ensemble(build_basis(3), T=4, beta=0.1, epsilon=0.5,
+                          count=50, seed=2, chunk=7)
     assert len(ens) == 50
     assert np.all(np.isfinite(ens.obs["R"]))
     assert np.all(ens.obs["N_sum"] >= 4 * 3)      # self pairs at least
 
 
-def test_tilted_at_zero_drift_matches_free():
-    a = sample_ensemble(J=3, T=5, beta=0.1, epsilon=0.5, count=30, seed=4)
-    b = tilted_ensemble(J=3, T=5, beta=0.1, epsilon=0.5, a=0.0, count=30,
-                        seed=4)
-    assert np.array_equal(a.obs["R"], b.obs["R"])
-    assert np.allclose(b.log_weights, 0.0)
-    assert b.base_measure == "TILTED(0.0)"
+@pytest.mark.parametrize("conv", [Convention.LITERAL, Convention.PAPER])
+@pytest.mark.parametrize("init", ["zero", "stationary"])
+def test_sample_ensemble_matches_closed_form_r2(conv, init):
+    # E[R^2] of the free string has a closed form for either start and
+    # convention; 4 SE of 4000 replicates resolves a ~1 % bias in E[R^2]
+    b = build_basis(8)
+    ens = sample_ensemble(b, T=32, beta=0.0, epsilon=0.5, count=4000,
+                          seed=12, init=init, conv=conv)
+    r2 = ens.obs["R"] ** 2
+    exact = scaling_exact_r2(b, 32, conv, init)
+    assert abs(r2.mean() - exact) <= 4 * r2.std(ddof=1) / np.sqrt(len(r2))
 
 
-def test_tilted_reweighting_recovers_free_mean():
-    # drifted noise with likelihood correction reproduces the free E[R]
-    free = sample_ensemble(J=4, T=8, beta=0.0, epsilon=0.5, count=40_000,
-                           seed=5)
-    tilt = tilted_ensemble(J=4, T=8, beta=0.0, epsilon=0.5, a=0.15,
-                           count=40_000, seed=6)
-    m_free = estimate_measure(free, "R")["Q_mean"]
-    est = estimate_measure(tilt, "R")
-    assert est["Q_mean"] == pytest.approx(m_free, abs=4 * 0.003)
+def test_sample_ensemble_rejects_unknown_init():
+    with pytest.raises(ValueError):
+        sample_ensemble(build_basis(3), 4, 0.1, 0.5, 10, seed=1, init="warm")
+
+
+@pytest.mark.parametrize("n", [5, 8, 50])
+def test_sample_measure_keeps_importance_for_uniform_weights(n):
+    # beta = 0 gives uniform weights, whose ESS is n only up to rounding
+    b = build_basis(4)
+    for sampler in ("auto", "importance"):
+        ens = sample_measure(b, 6, 0.0, 0.5, n, seed=3, sampler=sampler,
+                             ess_floor=50.0)
+        assert ens.base_measure == "P_T"
+        assert ens.diagnostics["ess"] == pytest.approx(n)
+
+
+def test_sample_measure_selects_and_falls_back():
+    b = build_basis(4)
+    args = (b, 8, 5.0, 0.5, 60)
+    with pytest.raises(SamplerDegeneracyError):
+        sample_measure(*args, seed=2, sampler="importance")
+    auto = sample_measure(*args, seed=2, sampler="auto", init="stationary")
+    chain = metropolis_sampler(*args, seed=2, init="stationary")
+    assert auto.base_measure == "Q_T(metropolis,stationary)"
+    assert np.array_equal(auto.obs["R"], chain.obs["R"])
+    with pytest.raises(ValueError):
+        sample_measure(*args, seed=2, sampler="bogus")
 
 
 def test_drift_leaves_pair_counts_invariant():
@@ -120,6 +140,17 @@ def test_jensen_bound_holds_small():
         r = jensen_lower_bound(b, 8, 0.1, 0.5, a, 20_000, seed=13)
         assert r["holds"]
         assert r["bound"] <= r["logZ_over_T"] + 3e-3
+
+
+def test_jensen_bound_passes_convention_through():
+    # both sides of the bound are taken under the requested convention
+    b = build_basis(4)
+    r = jensen_lower_bound(b, 8, 0.1, 0.5, 0.5, 20_000, seed=13,
+                           conv=Convention.PAPER)
+    ens = sample_ensemble(b, 8, 0.1, 0.5, 20_000, seed=13,
+                          conv=Convention.PAPER)
+    assert r["logZ_over_T"] == estimate_measure(ens)["log_Z_hat"] / 8
+    assert r["holds"]
 
 
 def test_jensen_drift_cost_is_quadratic():

@@ -9,8 +9,13 @@ from polymerlab.observables import (center_of_mass, gyration_from_rows,
                                     local_inequality_check,
                                     mean_height_series, observable_record,
                                     occupancy_histogram, radius_of_gyration,
-                                    self_intersection_count,
-                                    self_intersection_count_brute)
+                                    self_intersection_count)
+
+
+def self_intersection_count_brute(row, epsilon):
+    """Quadratic oracle: direct subtraction over every ordered pair."""
+    x = np.asarray(row, dtype=float)
+    return int((np.abs(x[:, None] - x[None, :]) <= epsilon).sum())
 
 
 def _traj(seed=0, T=4, J=6):
@@ -60,13 +65,13 @@ def test_count_matches_brute_on_ties():
     # exact-boundary pairs: |diff| == eps counts, just beyond does not
     row = np.array([0.0, 0.5, 1.0 + 1e-12])
     assert (self_intersection_count(row, 0, 0.5)
-            == self_intersection_count_brute(row, 0, 0.5))
+            == self_intersection_count_brute(row, 0.5))
 
 
 # dyadic lattice: differences are exact, so the interval test and the
 # direct subtraction agree on every boundary tie.  Off the lattice the
 # two can differ when |u_i - u_j| sits within one ulp of eps (see the
-# note on self_intersection_count); that is a rounding coincidence, not
+# note on intersection_counts_batch); that is a rounding coincidence, not
 # a property of either algorithm.
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-51200, 51200), min_size=1, max_size=24),
@@ -75,17 +80,20 @@ def test_count_sorted_equals_brute(grid_values, grid_eps):
     row = np.array(grid_values, dtype=float) / 1024.0
     eps = grid_eps / 1024.0
     assert (self_intersection_count(row, 0, eps)
-            == self_intersection_count_brute(row, 0, eps))
+            == self_intersection_count_brute(row, eps))
 
 
-def test_batch_counts_match_scalar_both_paths():
-    rng = np.random.default_rng(5)
-    small = rng.normal(size=(10, 12))       # broadcast path
-    wide = rng.normal(size=(4, 80))         # sorted-search path
-    for rows in (small, wide):
-        got = intersection_counts_batch(rows, 0.4)
-        expect = [self_intersection_count(r, 0, 0.4) for r in rows]
-        assert got.tolist() == expect
+# widths on both sides of the J <= 64 switch: broadcast and sorted search
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(1, 24), st.integers(65, 96)),
+       st.integers(1, 4), st.integers(1, 10240), st.data())
+def test_batch_counts_equal_brute_both_paths(J, k, grid_eps, data):
+    grid = data.draw(st.lists(st.integers(-51200, 51200), min_size=k * J,
+                              max_size=k * J))
+    rows = np.array(grid, dtype=float).reshape(k, J) / 1024.0
+    eps = grid_eps / 1024.0
+    expect = [self_intersection_count_brute(r, eps) for r in rows]
+    assert intersection_counts_batch(rows, eps).tolist() == expect
 
 
 def test_occupancy_histogram_totals():
