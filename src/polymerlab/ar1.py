@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dynamics import counter_rng, mode_innovation_std
 from .spectral import Basis, Convention
@@ -255,10 +254,20 @@ def tail_probe(params: AR1Params, T: int, K: float, samples: int,
     """Monte Carlo estimate of -(1/T) log P(S_T > K) for the chain
     started at 0, reported next to the rate function at K.
 
-    Spreads chunks across threads with deterministic per-chunk streams
-    and a fixed-order reduction.  Fewer than 20 exceedances flags the
-    result as underpowered; zero exceedances report an infinite
-    empirical rate, still flagged, never an error.
+    Chunks of chains run on a thread pool, each from its own
+    deterministic stream (counter_rng(seed, 7, chunk index)), and the
+    counts are reduced in chunk order, so the result does not depend on
+    the number of workers.  Each chunk draws its innovations as one
+    (chunk, T) array, row i for chain i, and runs the recursion
+    X_t = rho X_{t-1} + sigma xi_t down the columns, accumulating the
+    sum of X_t^2 per chain; no (chunk, T) array of X is built.  The
+    X_t equal those of the direct-form filter (scipy.signal.lfilter) bit
+    for bit; the sum over t is sequential, not pairwise, so S_T can
+    differ from a numpy mean by an ulp and move a count only where S_T
+    lies within an ulp of K.  Fewer
+    than 20 exceedances flags the result as underpowered; zero
+    exceedances report an infinite empirical rate, still flagged, never
+    an error.
     """
     _check_positive_sigma(params)
     stat_mean = params.sigma2 / (1.0 - params.rho ** 2)
@@ -275,10 +284,13 @@ def tail_probe(params: AR1Params, T: int, K: float, samples: int,
     def run(idx_size):
         idx, size = idx_size
         rng = counter_rng(seed, 7, idx)
-        xi = rng.standard_normal((size, T))
-        x = lfilter([sigma], [1.0, -params.rho], xi, axis=1)
-        s = np.mean(x * x, axis=1)
-        return int(np.count_nonzero(s > K))
+        x = np.zeros(size)
+        sq_sum = np.zeros(size)
+        for xi_t in rng.standard_normal((size, T)).T:
+            x *= params.rho
+            x += sigma * xi_t
+            sq_sum += x * x
+        return int(np.count_nonzero(sq_sum / T > K))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         counts = list(pool.map(run, enumerate(sizes)))

@@ -13,12 +13,11 @@ beta*T*J ~ 700.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import norm
 
 from .dynamics import (counter_rng, mode_innovation_std, neumann_laplacian,
                        sample_stationary_field, stationary_mode_std)
@@ -32,6 +31,27 @@ SAMPLERS = ("importance", "metropolis", "auto")
 class SamplerDegeneracyError(RuntimeError):
     """Raised when an importance-sampling ensemble's effective sample size
     falls below the configured floor."""
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over all entries of a, with the arithmetic of
+    scipy.special.logsumexp (scipy 1.17), so results match it bit for bit.
+
+    The m entries tied at the maximum are taken out of the sum rather than
+    one of them: a_max + log(m) + log1p(s / m) with s the sum of the other
+    exp(a - a_max).  Ties are the rule here, since log weights are integer
+    multiples of -beta.  A non-finite maximum falls back to
+    log(sum(exp(a))), which gives inf, -inf or nan as scipy does.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return float(np.log(np.sum(np.exp(a))))
+    top = a == a_max
+    m = float(np.count_nonzero(top))
+    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+    return float(np.log1p(s / m) + np.log(m) + a_max)
 
 
 def boltzmann_log_weight(traj, beta: float, epsilon: float) -> float:
@@ -388,10 +408,8 @@ def pair_proximity_bound(basis: Basis, epsilon: float,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     var = min_variance_by_distance(basis, conv)[1:]
-    sigma = np.sqrt(var)
-    prob = np.where(sigma > 0.0,
-                    2.0 * norm.cdf(epsilon / np.where(sigma > 0.0, sigma, 1.0))
-                    - 1.0,
-                    1.0)
+    # 2 Phi(x) - 1 = erf(x / sqrt 2); a zero-variance class pairs surely
+    prob = np.array([math.erf(epsilon / math.sqrt(2.0 * v)) if v > 0.0
+                     else 1.0 for v in var])
     d = np.arange(1, basis.J)
     return float(basis.J + np.sum(2.0 * (basis.J - d) * prob))

@@ -51,18 +51,31 @@ def gyration_from_rows(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((dev ** 2).mean(axis=(-2, -1)))
 
 
+# pair comparisons per broadcast block: 16 rows at J = 64, 1024 at J = 8
+_BROADCAST_BLOCK = 1 << 16
+
+
+def _broadcast_counts(rows: np.ndarray, epsilon: float) -> np.ndarray:
+    close = np.abs(rows[..., :, None] - rows[..., None, :]) <= epsilon
+    return close.sum(axis=(-2, -1)).astype(np.int64)
+
+
 def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
     """Number of ordered site pairs (i, j), diagonal included, with
     |u_i - u_j| <= epsilon, for a batch of configurations: shape
     (..., J) -> (...).  This is the library's only pair counter.
 
-    J <= 64 uses one broadcast comparison, J^2 per row in one kernel;
-    wider rows use sorted two-sided searches, O(J log J) per row.  The
-    switch sits at the crossover for the 64-row batches that Metropolis
-    proposals count.  Per row on a 2-core Xeon with numpy 2.4, 64-row
-    batches take 5.8 us broadcast vs 11.9 us sorted at J = 48 and 14.8 vs
-    11.1 us at J = 64; 4096-row batches already cross near J = 32-48
-    (6.5 vs 9.3 us at J = 32, 17.8 vs 10.5 us at J = 48).
+    J <= 64 uses broadcast comparisons, J^2 per row, in blocks of at most
+    2^16 // J^2 rows, so the float64 temporary is at most 0.5 MB whatever the
+    batch size; wider rows use sorted two-sided searches, O(J log J) per row.
+    Per row on a 2-core Xeon with numpy 2.4, 4000-row batches took 3.1 us
+    blocked vs 11.5 us sorted at J = 32, 6.8 vs 12.3 at J = 48, 11.2 vs
+    13.4 at J = 64, 14.0 vs 13.8 at J = 72 and 19.5 vs 15.5 at J = 80;
+    unblocked, one broadcast over the whole batch took 9.4 us at J = 32
+    and 40 us at J = 64.  A batch of at most one block, such as every
+    Metropolis tail update at J = 8, skips the block loop: a (64, 8) call
+    took 17.2 us that way and 19.4 us through a one-pass loop, and the
+    tails study makes ~130k such calls.
 
     The sorted path resolves boundary pairs through the interval test
     u_j in [u_i - eps, u_i + eps]; when a pair distance differs from eps
@@ -74,8 +87,15 @@ def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     J = rows.shape[-1]
     if J <= 64:
-        close = np.abs(rows[..., :, None] - rows[..., None, :]) <= epsilon
-        return close.sum(axis=(-2, -1)).astype(np.int64)
+        if rows.size * J <= _BROADCAST_BLOCK:
+            return _broadcast_counts(rows, epsilon)
+        n = rows.size // J
+        step = _BROADCAST_BLOCK // (J * J)
+        flat = rows.reshape(n, J)
+        out = np.empty(n, dtype=np.int64)
+        for r in range(0, n, step):
+            out[r:r + step] = _broadcast_counts(flat[r:r + step], epsilon)
+        return out.reshape(rows.shape[:-1])
     x = np.sort(rows, axis=-1)
     flat = x.reshape(-1, J)
     out = np.empty(flat.shape[0], dtype=np.int64)

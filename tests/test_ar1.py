@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from polymerlab.ar1 import (AR1Params, CumulantDomainError,
                             DegenerateProcessError, cumulant_fixed_point,
@@ -9,7 +10,8 @@ from polymerlab.ar1 import (AR1Params, CumulantDomainError,
                             rate_function_as_printed, reconstruct_centered,
                             tail_probe)
 from polymerlab.cli import _LDP_FIELDS
-from polymerlab.dynamics import NoiseField, sample_noise, simulate_recursion
+from polymerlab.dynamics import (NoiseField, counter_rng, sample_noise,
+                                 simulate_recursion)
 from polymerlab.experiments import rows_to_csv
 from polymerlab.spectral import Convention, build_basis
 
@@ -234,6 +236,30 @@ def test_tail_probe_thread_count_invariant():
     a = tail_probe(p, workers=1, **kw)
     b = tail_probe(p, workers=4, **kw)
     assert a == b
+
+
+def _lfilter_exceedances(params, T, K, samples, seed, chunk):
+    """Oracle: the same per-chunk draws run through scipy's direct filter,
+    with S_T as the numpy mean of the filtered (chunk, T) array."""
+    sigma = np.sqrt(params.sigma2)
+    total = 0
+    for idx, start in enumerate(range(0, samples, chunk)):
+        xi = counter_rng(seed, 7, idx).standard_normal(
+            (min(chunk, samples - start), T))
+        x = lfilter([sigma], [1.0, -params.rho], xi, axis=1)
+        total += int(np.count_nonzero(np.mean(x * x, axis=1) > K))
+    return total
+
+
+@pytest.mark.parametrize("rho, sigma2, T, K", [(0.6, 1.0, 30, 2.5),
+                                               (-0.9, 2.0, 20, 17.0)])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_tail_probe_counts_equal_lfilter(rho, sigma2, T, K, seed):
+    p = AR1Params(rho=rho, sigma2=sigma2)
+    kw = dict(T=T, K=K, samples=150_000, seed=seed, chunk=40_000)
+    out = tail_probe(p, workers=2, **kw)
+    assert out["exceedances"] > 100
+    assert out["exceedances"] == _lfilter_exceedances(p, **kw)
 
 
 def test_tail_probe_underpowered_and_empty():

@@ -1,11 +1,14 @@
 import importlib.metadata
 import os
 import shutil
+import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
 import pytest
 
+import polymerlab
 from polymerlab.cli import main
 
 
@@ -166,6 +169,27 @@ def test_bad_flag_value_exits_two(capsys):
     assert "configuration error" in err
 
 
+# the CLI's import graph is numpy-only: scipy alone took ~1.1 s of a
+# 1.25 s cold start (python -X importtime)
+_IMPORTED_SCIPY = """
+import sys
+import polymerlab.cli
+polymerlab.cli.build_parser()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(polymerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORTED_SCIPY],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 SCRIPT_TARGET = "polymerlab.cli:main"
 
 
@@ -187,6 +211,16 @@ def test_console_script_declared(capsys):
     entry = getattr(importlib.import_module(module), attr)
     assert entry(["spectra", "--J", "4"]) == 0
     assert capsys.readouterr().out.startswith("m,rho,weight")
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    assert any(d.startswith("scipy")
+               for d in project["optional-dependencies"]["test"])
 
 
 @pytest.mark.skipif(not _distribution_installed("polymerlab"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import norm
 
 from polymerlab.dynamics import (counter_rng, sample_stationary_field,
@@ -7,9 +8,11 @@ from polymerlab.dynamics import (counter_rng, sample_stationary_field,
 from polymerlab.experiments import scaling_exact_r2
 from polymerlab.gibbs import (SamplerDegeneracyError, WeightedEnsemble,
                               boltzmann_log_weight, estimate_measure,
-                              jensen_lower_bound, metropolis_accept,
-                              metropolis_sampler, pair_proximity_bound,
-                              sample_ensemble, sample_measure)
+                              jensen_lower_bound, logsumexp,
+                              metropolis_accept, metropolis_sampler,
+                              pair_proximity_bound, sample_ensemble,
+                              sample_measure)
+from polymerlab.increments import min_variance_by_distance
 from polymerlab.observables import intersection_counts_batch
 from polymerlab.spectral import Convention, build_basis
 
@@ -38,6 +41,42 @@ def test_zero_beta_partition_is_one():
     est = estimate_measure(ens, "R")
     assert est["log_Z_hat"] == pytest.approx(0.0, abs=1e-12)
     assert est["ess"] == pytest.approx(50.0)
+
+
+# log weights are integer multiples of -beta, so maxima tie; the ties
+# decide how scipy's logsumexp rounds, and estimates must not move
+_TIED = -0.02 * np.array([3.0, 1.0, 1.0, 2.0, 1.0, 5.0, 4.0])
+_NEAR_700 = -0.5 * (1400.0 + np.random.default_rng(4).integers(0, 30, 500))
+
+
+@pytest.mark.parametrize("a", [
+    _TIED, np.full(9, -1.3), np.array([-4.2]), np.array([0.0]),
+    _NEAR_700, np.random.default_rng(5).normal(scale=3.0, size=1000),
+    np.array([-np.inf, -2.0, -2.0]), np.full(3, -np.inf),
+    np.array([1.0, np.inf]), np.array([np.nan, 1.0]),
+], ids=["tied", "all_equal", "one", "zero", "near_minus_700", "untied",
+        "minus_inf_entry", "all_minus_inf", "plus_inf", "nan"])
+def test_logsumexp_equals_scipy_bit_for_bit(a):
+    for x in (a, 2.0 * a):
+        got, want = logsumexp(x), float(scipy_logsumexp(x))
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_estimate_measure_on_tied_weights_matches_scipy():
+    lw = _NEAR_700
+    ens = WeightedEnsemble(obs={"R": np.linspace(1.0, 2.0, lw.size)},
+                           log_weights=lw, beta=0.5, epsilon=0.5,
+                           base_measure="P_T", J=28, T=50)
+    est = estimate_measure(ens, "R", ess_floor=1.0)
+    shifted = lw - lw.max()
+    ess = np.exp(2.0 * scipy_logsumexp(shifted)
+                 - scipy_logsumexp(2.0 * shifted))
+    wn = np.exp(lw - scipy_logsumexp(lw))
+    x = ens.obs["R"]
+    assert est["ess"] == ess
+    assert est["Q_mean"] == np.dot(wn, x)
+    assert est["log_Z_hat"] == (-700.0 + scipy_logsumexp(lw + 700.0)
+                                - np.log(lw.size))
 
 
 def test_weighted_mean_hand_example():
@@ -231,6 +270,19 @@ def test_pair_proximity_bound_dominates_mc():
         mean_n = intersection_counts_batch(fields, eps).mean()
         assert mean_n <= bound
         assert bound <= 64.0 + 1e-9
+
+
+def test_pair_proximity_bound_matches_normal_cdf_form():
+    for J in (2, 8, 33):
+        b = build_basis(J)
+        for conv in (Convention.LITERAL, Convention.PAPER):
+            for eps in (1e-3, 0.5, 4.0):
+                sigma = np.sqrt(min_variance_by_distance(b, conv)[1:])
+                prob = 2.0 * norm.cdf(eps / sigma) - 1.0
+                d = np.arange(1, J)
+                want = J + np.sum(2.0 * (J - d) * prob)
+                got = pair_proximity_bound(b, eps, conv)
+                assert abs(got - want) <= 1e-14 * want
 
 
 def test_pair_proximity_bound_saturates():

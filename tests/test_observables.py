@@ -83,17 +83,38 @@ def test_count_sorted_equals_brute(grid_values, grid_eps):
             == self_intersection_count_brute(row, eps))
 
 
-# widths on both sides of the J <= 64 switch: broadcast and sorted search
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(st.integers(1, 24), st.integers(65, 96)),
-       st.integers(1, 4), st.integers(1, 10240), st.data())
-def test_batch_counts_equal_brute_both_paths(J, k, grid_eps, data):
-    grid = data.draw(st.lists(st.integers(-51200, 51200), min_size=k * J,
-                              max_size=k * J))
+# widths on both sides of the J <= 64 switch (broadcast and sorted
+# search).  At J = 33-64 the batches also fall on both sides of the
+# broadcast row block, 2^16 // J^2 rows (60 at J = 33, 16 at J = 64); they
+# are too large to draw as lists, so a seeded draw puts their values on
+# multiples of the grid eps plus an offset of -1, 0 or 1, which puts many
+# pairs exactly eps apart
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.integers(1, 24), st.integers(33, 64),
+                 st.integers(65, 96)),
+       st.integers(1, 10240), st.data())
+def test_batch_counts_equal_brute_both_paths(J, grid_eps, data):
+    if 33 <= J <= 64:
+        k = data.draw(st.integers(1, 2 * ((1 << 16) // (J * J)) + 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        grid = (grid_eps * rng.integers(-4, 5, (k, J))
+                + rng.integers(-1, 2, (k, J)))
+    else:
+        k = data.draw(st.integers(1, 4))
+        grid = data.draw(st.lists(st.integers(-51200, 51200),
+                                  min_size=k * J, max_size=k * J))
     rows = np.array(grid, dtype=float).reshape(k, J) / 1024.0
     eps = grid_eps / 1024.0
     expect = [self_intersection_count_brute(r, eps) for r in rows]
     assert intersection_counts_batch(rows, eps).tolist() == expect
+
+
+def test_batch_counts_keep_leading_shape_across_blocks():
+    rows = np.random.default_rng(2).normal(size=(3, 25, 48))
+    counts = intersection_counts_batch(rows, 0.3)
+    assert counts.shape == (3, 25)
+    assert counts.ravel().tolist() == [self_intersection_count_brute(r, 0.3)
+                                       for r in rows.reshape(-1, 48)]
 
 
 def test_occupancy_histogram_totals():
