@@ -29,8 +29,7 @@ from .experiments import (ConfigError, ScalingReport, StudyConfig,
                           run_tail_probes, run_validation_suite,
                           scaling_exact_r2, validation_manifest)
 from .gibbs import (SamplerDegeneracyError, WeightedEnsemble,
-                    boltzmann_log_weight, estimate_measure,
-                    jensen_lower_bound, metropolis_sampler,
+                    estimate_measure, jensen_lower_bound, metropolis_sampler,
                     pair_proximity_bound, sample_ensemble, sample_measure)
 from .increments import (IncrementStat, ScanResult, ScanRow,
                          increment_mean_and_variance,
@@ -38,9 +37,7 @@ from .increments import (IncrementStat, ScanResult, ScanRow,
                          monte_carlo_increment_check, scan_distances,
                          variance_scaling_scan)
 from .observables import (InequalityReport, OccupancyHistogram,
-                          center_of_mass, gyration_from_rows,
                           intersection_counts_batch, local_inequality_check,
-                          mean_height_series, observable_record,
                           occupancy_histogram, radius_of_gyration,
                           self_intersection_count)
 from .spectral import (MAX_J, Basis, Convention, build_basis,

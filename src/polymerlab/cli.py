@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: spectra, simulate, variance-scan, gibbs, ldp, scaling,
-tails, validate.  Exit codes: 0 success, 1 invariant failure, 2
-configuration error (argparse uses the same code for bad flags), 3
-sampler degeneracy.
+tails, validate.  Each accepts only the flags it reads (`_COMMANDS`;
+`polymerlab <cmd> --help`).  Exit codes: 0 success, 1 invariant
+failure, 2 configuration error, unknown or misspelt flag (argparse) or
+unwritable path, 3 sampler degeneracy.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import numpy as np
 from .ar1 import AR1Params, rate_function, tail_probe
 from .dynamics import (sample_noise, simulate_recursion, trajectory_to_csv,
                        write_trajectory_binary)
-from .experiments import (ConfigError, StudyConfig, _json_line, load_config,
-                          quantize12, rows_to_csv, run_scaling_study,
-                          run_tail_probes, run_validation_suite)
-from .gibbs import SamplerDegeneracyError, estimate_measure, sample_measure
+from .experiments import (_FIELD_PARSERS, ConfigError, _json_line,
+                          load_config, quantize12, rows_to_csv,
+                          run_scaling_study, run_tail_probes,
+                          run_validation_suite)
+from .gibbs import (SAMPLERS, SamplerDegeneracyError, estimate_measure,
+                    sample_measure)
 from .increments import variance_scaling_scan
 from .spectral import build_basis, cosecant_square_sum, normalizing_constant_c0
 
@@ -29,82 +32,38 @@ _SCAN_FIELDS = ("J", "i", "j", "d", "convention", "variance", "ratio",
 _LDP_FIELDS = ("rho", "sigma2", "x_or_K", "value", "empirical", "T",
                "samples")
 
+# Every flag, declared once.  A flag whose dest is a StudyConfig key
+# overrides that key of the config file and has no default of its own;
+# the others are read off the parsed arguments by their one command.
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="flat key=value study file"),
+    "--J": dict(dest="J_list", metavar="J",
+                help="string width; a comma list for scaling and "
+                     "variance-scan"),
+    "--T": dict(type=int, help="time horizon"),
+    "--T-list": dict(dest="T_list", help="comma list of horizons"),
+    "--seed": dict(type=int),
+    "--kappa": dict(type=float),
+    "--beta": dict(type=float),
+    "--epsilon": dict(type=float),
+    "--sampler": dict(choices=SAMPLERS),
+    "--convention": dict(choices=("literal", "paper")),
+    "--replicates": dict(type=int),
+    "--out": dict(dest="output_dir", metavar="DIR", help="report directory"),
+    "--drift": dict(type=float, default=0.0, help="mean of the noise"),
+    "--format": dict(choices=("csv", "binary"), default="csv"),
+    "--rho": dict(type=float, default=0.0),
+    "--sigma2": dict(type=float, default=1.0),
+    "--x": dict(default="0.5,1,2,5",
+                help="comma list of rate-function arguments"),
+    "--K": dict(type=float, help="tail threshold; adds a probe row"),
+    "--K1": dict(type=float, default=0.2),
+    "--K2": dict(type=float, default=0.3),
+}
 
-def _shared_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", metavar="PATH",
-                   help="flat key=value study file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", metavar="DIR", help="report directory")
-    p.add_argument("--convention", choices=("literal", "paper"))
-    p.add_argument("--sampler", choices=("importance", "metropolis", "auto"))
-    p.add_argument("--J", help="string width, or comma list for scans")
-    p.add_argument("--T", type=int, help="time horizon")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--drift", type=float)
-    p.add_argument("--replicates", type=int)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="polymerlab",
-        description="moving-polymer simulation laboratory")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectra", help="eigenvalue and weight table")
-    _shared_flags(p)
-    p.add_argument("--kappa", type=float, default=0.5)
-
-    p = sub.add_parser("simulate", help="one free trajectory")
-    _shared_flags(p)
-    p.add_argument("--kappa", type=float, default=0.5)
-    p.add_argument("--format", choices=("csv", "binary"), default="csv")
-
-    p = sub.add_parser("variance-scan",
-                       help="increment variances across widths")
-    _shared_flags(p)
-
-    p = sub.add_parser("gibbs", help="reweighted ensemble estimate")
-    _shared_flags(p)
-
-    p = sub.add_parser("ldp", help="rate-function table and tail probe")
-    _shared_flags(p)
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--x", default="0.5,1,2,5",
-                   help="comma list of rate-function arguments")
-    p.add_argument("--K", type=float, help="tail threshold; adds a probe row")
-
-    p = sub.add_parser("scaling", help="gyration radius versus width")
-    _shared_flags(p)
-
-    p = sub.add_parser("tails", help="R tail probabilities across horizons")
-    _shared_flags(p)
-    p.add_argument("--K1", type=float, default=0.2)
-    p.add_argument("--K2", type=float, default=0.3)
-    p.add_argument("--T-list", dest="T_list",
-                   help="comma list of horizons")
-
-    p = sub.add_parser("validate", help="run every invariant check")
-    _shared_flags(p)
-    return ap
-
-
-def _config_from(args) -> StudyConfig:
-    overrides = {"seed": getattr(args, "seed", None),
-                 "convention": getattr(args, "convention", None),
-                 "sampler": getattr(args, "sampler", None),
-                 "J_list": getattr(args, "J", None),
-                 "T": getattr(args, "T", None),
-                 "T_list": getattr(args, "T_list", None),
-                 "beta": getattr(args, "beta", None),
-                 "epsilon": getattr(args, "epsilon", None),
-                 "drift": getattr(args, "drift", None),
-                 "replicates": getattr(args, "replicates", None),
-                 "output_dir": getattr(args, "out", None)}
-    if getattr(args, "kappa", None) is not None:
-        overrides["kappa"] = args.kappa
-    return load_config(getattr(args, "config", None), overrides)
+# study defaults of the commands that run one width: J = 8 unless the
+# config file or --J names another
+_ONE_WIDTH = {"J_list": (8,)}
 
 
 def _write_or_print(text: str, out_dir, filename: str):
@@ -118,9 +77,8 @@ def _write_or_print(text: str, out_dir, filename: str):
     print(f"wrote {path}")
 
 
-def _cmd_spectra(args) -> int:
-    cfg = _config_from(args)
-    J = cfg.J_list[0]
+def _cmd_spectra(cfg, args) -> int:
+    J = cfg.one_width()
     basis = build_basis(J, cfg.kappa)
     rows = [{"m": m, "rho": quantize12(basis.rho[m]),
              "weight": quantize12(basis.a[m])} for m in range(J)]
@@ -133,10 +91,9 @@ def _cmd_spectra(args) -> int:
     return 0 if err < 1e-9 else 1
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _config_from(args)
-    J = cfg.J_list[0]
-    noise = sample_noise(cfg.seed, cfg.T, J, cfg.drift)
+def _cmd_simulate(cfg, args) -> int:
+    J = cfg.one_width()
+    noise = sample_noise(cfg.seed, cfg.T, J, args.drift)
     traj = simulate_recursion(np.zeros(J), noise, cfg.kappa)
     if args.format == "csv":
         _write_or_print(trajectory_to_csv(traj), cfg.output_dir,
@@ -151,8 +108,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_variance_scan(args) -> int:
-    cfg = _config_from(args)
+def _cmd_variance_scan(cfg, args) -> int:
     result = variance_scaling_scan(cfg.J_list, cfg.convention, cfg.kappa)
     rows = []
     for r in result.rows:
@@ -171,12 +127,8 @@ def _cmd_variance_scan(args) -> int:
     return 0
 
 
-def _cmd_gibbs(args) -> int:
-    cfg = _config_from(args)
-    if cfg.drift != 0.0:
-        raise ConfigError("gibbs takes no drift: a uniform drift changes "
-                          "neither R nor the pair counts")
-    J = cfg.J_list[0]
+def _cmd_gibbs(cfg, args) -> int:
+    J = cfg.one_width()
     ens = sample_measure(build_basis(J, cfg.kappa), cfg.T, cfg.beta,
                          cfg.epsilon, cfg.replicates, cfg.seed, cfg.sampler,
                          cfg.ess_floor, conv=cfg.convention)
@@ -189,8 +141,7 @@ def _cmd_gibbs(args) -> int:
     return 0
 
 
-def _cmd_ldp(args) -> int:
-    cfg = _config_from(args)
+def _cmd_ldp(cfg, args) -> int:
     params = AR1Params(rho=args.rho, sigma2=args.sigma2)
     rows = []
     for x in (float(p) for p in args.x.split(",") if p.strip()):
@@ -210,8 +161,7 @@ def _cmd_ldp(args) -> int:
     return 0
 
 
-def _cmd_scaling(args) -> int:
-    cfg = _config_from(args)
+def _cmd_scaling(cfg, args) -> int:
     report = run_scaling_study(cfg)
     print(_json_line({"fitted_exponent": report.fitted_exponent,
                       "exponent_se": report.exponent_se,
@@ -220,8 +170,7 @@ def _cmd_scaling(args) -> int:
     return 0
 
 
-def _cmd_tails(args) -> int:
-    cfg = _config_from(args)
+def _cmd_tails(cfg, args) -> int:
     result = run_tail_probes(cfg, args.K1, args.K2)
     print(_json_line({"K1": result["K1"], "K2": result["K2"],
                       "lower_nonincreasing": result["lower_nonincreasing"],
@@ -229,8 +178,7 @@ def _cmd_tails(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    cfg = _config_from(args)
+def _cmd_validate(cfg, args) -> int:
     report = run_validation_suite(cfg)
     for check in report.checks:
         mark = "PASS" if check["passed"] else "FAIL"
@@ -240,24 +188,57 @@ def _cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
-_DISPATCH = {
-    "spectra": _cmd_spectra,
-    "simulate": _cmd_simulate,
-    "variance-scan": _cmd_variance_scan,
-    "gibbs": _cmd_gibbs,
-    "ldp": _cmd_ldp,
-    "scaling": _cmd_scaling,
-    "tails": _cmd_tails,
-    "validate": _cmd_validate,
+# subcommand -> (handler, help, the flags it reads, study defaults)
+_COMMANDS = {
+    "spectra": (_cmd_spectra, "eigenvalue and weight table",
+                "--config --J --kappa --out", _ONE_WIDTH),
+    "simulate": (_cmd_simulate, "one free trajectory",
+                 "--config --J --T --seed --kappa --drift --format --out",
+                 _ONE_WIDTH),
+    "variance-scan": (_cmd_variance_scan,
+                      "increment variances across widths",
+                      "--config --J --convention --out", None),
+    "gibbs": (_cmd_gibbs, "reweighted ensemble estimate",
+              "--config --J --T --beta --epsilon --seed --sampler "
+              "--convention --replicates", _ONE_WIDTH),
+    "ldp": (_cmd_ldp, "rate-function table and tail probe",
+            "--config --T --seed --replicates --out --rho --sigma2 --x --K",
+            None),
+    "scaling": (_cmd_scaling, "gyration radius versus width",
+                "--config --J --T --beta --epsilon --seed --sampler "
+                "--convention --replicates --out", None),
+    "tails": (_cmd_tails, "R tail probabilities across horizons",
+              "--config --J --T-list --beta --epsilon --seed --convention "
+              "--replicates --out --K1 --K2", _ONE_WIDTH),
+    "validate": (_cmd_validate, "run every invariant check",
+                 "--config --seed --out", None),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="polymerlab",
+        description="moving-polymer simulation laboratory")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, text, flags, _) in _COMMANDS.items():
+        # no prefix matching: tails would take --T for --T-list
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+    return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, _, defaults = _COMMANDS[args.command]
+    overrides = {k: v for k, v in vars(args).items() if k in _FIELD_PARSERS}
     try:
-        return _DISPATCH[args.command](args)
+        return handler(load_config(args.config, overrides, defaults), args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
         return 2
     except SamplerDegeneracyError as exc:
         print(f"sampler degeneracy: {exc}", file=sys.stderr)

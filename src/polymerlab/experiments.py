@@ -72,7 +72,6 @@ class StudyConfig:
     kappa: float = 0.5
     beta: float = 0.0
     epsilon: float = 0.5
-    drift: float = 0.0
     convention: Convention = Convention.LITERAL
     sampler: str = "importance"
     seed: int = 0
@@ -105,6 +104,13 @@ class StudyConfig:
         if self.ess_floor <= 0.0:
             raise ConfigError("ess_floor must be positive")
 
+    def one_width(self) -> int:
+        """The width of a driver that runs one: J_list's only entry."""
+        if len(self.J_list) > 1:
+            raise ConfigError("one width expected, got J_list = "
+                              + ",".join(map(str, self.J_list)))
+        return self.J_list[0]
+
 
 _FIELD_PARSERS = {
     "J_list": _parse_int_list,
@@ -113,7 +119,6 @@ _FIELD_PARSERS = {
     "kappa": float,
     "beta": float,
     "epsilon": float,
-    "drift": float,
     "convention": _parse_convention,
     "sampler": str,
     "seed": int,
@@ -149,9 +154,10 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config(path: str = None, overrides: dict = None) -> StudyConfig:
-    """Config file, then overrides, then validation."""
-    values = {}
+def load_config(path: str = None, overrides: dict = None,
+                defaults: dict = None) -> StudyConfig:
+    """Defaults, then the config file, then overrides, then validation."""
+    values = dict(defaults or {})
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -349,7 +355,7 @@ def run_scaling_study(config: StudyConfig) -> ScalingReport:
 
 
 def _tail_cell(config: StudyConfig, T: int, K1: float, K2: float) -> dict:
-    J = config.J_list[0]
+    J = config.one_width()
     basis = build_basis(J, config.kappa)
     R, _, diag, label = _stationary_cell_r(config, basis, T, T, 20,
                                            "metropolis")

@@ -54,13 +54,6 @@ def logsumexp(a) -> float:
     return float(np.log1p(s / m) + np.log(m) + a_max)
 
 
-def boltzmann_log_weight(traj, beta: float, epsilon: float) -> float:
-    """-beta * sum over t = 1..T of the near-pair count N_eps(t)."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    return -beta * float(intersection_counts_batch(traj.u[1:], epsilon).sum())
-
-
 @dataclass(frozen=True)
 class WeightedEnsemble:
     """Observable arrays with log weights.

@@ -1,6 +1,6 @@
 """Geometric and self-intersection observables of a string configuration:
-center of mass, radius of gyration, near-pair counts, and the bin
-occupancy histogram with its counting inequalities."""
+radius of gyration, near-pair counts, and the bin occupancy histogram
+with its counting inequalities."""
 
 from __future__ import annotations
 
@@ -24,16 +24,6 @@ def _row(traj, t):
     return u[t]
 
 
-def center_of_mass(traj, t: int = 0) -> float:
-    """Site average of the configuration at time t."""
-    return float(_row(traj, t).mean())
-
-
-def mean_height_series(traj: Trajectory) -> np.ndarray:
-    """ubar(t) for t = 0..T."""
-    return traj.u.mean(axis=1)
-
-
 def radius_of_gyration(traj: Trajectory) -> float:
     """Root mean square spread about the per-time center of mass,
     averaged over t = 1..T (the initial slice is excluded)."""
@@ -42,13 +32,6 @@ def radius_of_gyration(traj: Trajectory) -> float:
     u = traj.u[1:]
     dev = u - u.mean(axis=1, keepdims=True)
     return float(np.sqrt(np.mean(dev ** 2)))
-
-
-def gyration_from_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorized R over a batch: rows has shape (..., T, J); returns the
-    rms spread per leading index."""
-    dev = rows - rows.mean(axis=-1, keepdims=True)
-    return np.sqrt((dev ** 2).mean(axis=(-2, -1)))
 
 
 # pair comparisons per broadcast block: 16 rows at J = 64, 1024 at J = 8
@@ -182,18 +165,3 @@ def local_inequality_check(traj, t=0, epsilon: float = None,
                    window_quadratic_mean_bound=bound,
                    chain_holds=bool(N >= sq >= bound - 1e-12))
     return InequalityReport(**rep)
-
-
-def observable_record(traj: Trajectory, beta: float, epsilon: float) -> dict:
-    """Summary dict for JSONL export: seed, sizes, R, and the total
-    near-pair count over t = 1..T."""
-    n_total = int(intersection_counts_batch(traj.u[1:], epsilon).sum())
-    return {
-        "seed": traj.seed,
-        "J": traj.J,
-        "T": traj.T,
-        "beta": beta,
-        "epsilon": epsilon,
-        "R": radius_of_gyration(traj),
-        "N_total": n_total,
-    }

@@ -74,12 +74,6 @@ class Basis:
         for arr in (self.rho, self.a, self.phi, self.e):
             arr.setflags(write=False)
 
-    def phi_at(self, m, n):
-        """Pointwise evaluator phi_m(n); accepts scalars or arrays.
-        Phase association matches the table so both agree bit for bit."""
-        phase = np.pi * (np.asarray(n) + 0.5) / self.J
-        return np.cos(np.asarray(m) * phase)
-
 
 def build_basis(J: int, kappa: float = 0.5) -> Basis:
     return Basis(J=int(J), kappa=kappa)

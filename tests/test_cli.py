@@ -1,3 +1,4 @@
+import argparse
 import importlib.metadata
 import os
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import polymerlab
-from polymerlab.cli import main
+from polymerlab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -81,11 +82,11 @@ def test_gibbs_metropolis_smoke(capsys):
 
 def test_gibbs_rejects_drift(capsys):
     # a uniform drift changes neither R nor N, so it has no place in gibbs
-    code, _, err = run(capsys, "gibbs", "--J", "8", "--T", "32", "--drift",
-                       "0.05", "--sampler", "importance", "--replicates",
-                       "200")
-    assert code == 2
-    assert "configuration error" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["gibbs", "--J", "8", "--T", "32", "--drift", "0.05",
+              "--sampler", "importance", "--replicates", "200"])
+    assert exc.value.code == 2
+    assert "--drift" in capsys.readouterr().err
 
 
 def test_gibbs_auto_keeps_importance_for_uniform_weights(capsys):
@@ -167,6 +168,86 @@ def test_bad_flag_value_exits_two(capsys):
     code, _, err = run(capsys, "scaling", "--J", "4,eight")
     assert code == 2
     assert "configuration error" in err
+
+
+FLAGS = {
+    "spectra": "--config --J --kappa --out",
+    "simulate": "--config --J --T --seed --kappa --drift --format --out",
+    "variance-scan": "--config --J --convention --out",
+    "gibbs": "--config --J --T --beta --epsilon --seed --sampler "
+             "--convention --replicates",
+    "ldp": "--config --T --seed --replicates --out --rho --sigma2 --x --K",
+    "scaling": "--config --J --T --beta --epsilon --seed --sampler "
+               "--convention --replicates --out",
+    "tails": "--config --J --T-list --beta --epsilon --seed --convention "
+             "--replicates --out --K1 --K2",
+    "validate": "--config --seed --out",
+}
+
+
+def test_each_subcommand_accepts_only_its_flags():
+    ap = build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in p._actions for s in a.option_strings}
+           - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert got == {name: set(flags.split()) for name, flags in FLAGS.items()}
+    assert sum(map(len, got.values())) == 58
+
+
+@pytest.mark.parametrize("argv", [
+    ("tails", "--J", "8", "--T-list", "4,8", "--sampler", "importance"),
+    ("tails", "--J", "8", "--T-list", "4,8", "--T", "999"),
+    ("gibbs", "--out", "reports"),
+    ("scaling", "--drift", "3"),
+    ("validate", "--beta", "0.1"),
+    ("spectra", "--seed", "1"),
+    ("ldp", "--J", "8"),
+])
+def test_flag_of_another_subcommand_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectra",),
+    ("simulate", "--T", "4"),
+    ("gibbs", "--T", "4", "--replicates", "10"),
+    ("tails", "--T-list", "4,8", "--replicates", "10"),
+])
+def test_one_width_commands_reject_a_width_list(argv, capsys):
+    code, out, err = run(capsys, *argv, "--J", "8,16")
+    assert code == 2
+    assert "one width expected, got J_list = 8,16" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("spectra", "--J", "6"),
+                                  ("simulate", "--J", "4", "--T", "5")])
+def test_config_kappa_applies_without_the_flag(argv, tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("kappa = 0.3\n")
+    from_file = run(capsys, *argv, "--config", str(cfg))
+    from_flag = run(capsys, *argv, "--kappa", "0.3")
+    assert from_file == from_flag
+    assert from_file[0] == 0
+    assert from_file != run(capsys, *argv)        # default kappa = 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectra", "--J", "4"),
+    ("scaling", "--J", "4,8,16", "--T", "4", "--replicates", "10"),
+])
+def test_unwritable_out_exits_two(argv, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    code, _, err = run(capsys, *argv, "--out", str(blocker))
+    assert code == 2
+    assert err.startswith("io error:")
+    assert str(blocker) in err
+    assert "Traceback" not in err
 
 
 # the CLI's import graph is numpy-only: scipy alone took ~1.1 s of a

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -50,6 +51,24 @@ def test_load_config_overrides(tmp_path):
     assert cfg.beta == 0.3
     assert cfg.seed == 5
     assert load_config(None, {"J_list": (4, 8)}).J_list == (4, 8)
+
+
+def test_load_config_defaults_rank_below_file_and_overrides(tmp_path):
+    p = tmp_path / "study.cfg"
+    p.write_text("J_list = 16\n")
+    one = {"J_list": (8,)}
+    assert load_config(None, {}, one).one_width() == 8
+    assert load_config(str(p), {}, one).one_width() == 16
+    assert load_config(str(p), {"J_list": "4"}, one).one_width() == 4
+    with pytest.raises(ConfigError, match="one width expected"):
+        load_config(None, {"J_list": "8,16"}, one).one_width()
+
+
+def test_config_fields_and_parsers_name_the_same_keys():
+    # both lists are kept by hand; a key in one only is either unreadable
+    # from a config file or rejected by StudyConfig
+    fields = {f.name for f in dataclasses.fields(StudyConfig)}
+    assert fields == set(ex._FIELD_PARSERS)
 
 
 def test_config_validation():

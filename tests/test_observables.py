@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymerlab.dynamics import sample_noise, simulate_recursion
-from polymerlab.observables import (center_of_mass, gyration_from_rows,
-                                    intersection_counts_batch,
+from polymerlab.observables import (intersection_counts_batch,
                                     local_inequality_check,
-                                    mean_height_series, observable_record,
                                     occupancy_histogram, radius_of_gyration,
                                     self_intersection_count)
 
@@ -22,26 +20,12 @@ def _traj(seed=0, T=4, J=6):
     return simulate_recursion(np.zeros(J), sample_noise(seed, T, J))
 
 
-def test_center_of_mass_and_series():
-    traj = _traj()
-    assert center_of_mass(traj, 2) == pytest.approx(traj.u[2].mean())
-    series = mean_height_series(traj)
-    assert series.shape == (traj.T + 1,)
-    assert series[0] == 0.0
-
-
 def test_radius_of_gyration_hand_value():
     u = np.array([[0.0, 0.0], [1.0, 3.0]])
     from polymerlab.dynamics import Trajectory
     traj = Trajectory(u=u)
     # single evolved row, deviations are +-1 about the mean 2
     assert radius_of_gyration(traj) == pytest.approx(1.0)
-
-
-def test_gyration_from_rows_matches_scalar():
-    traj = _traj(3)
-    batch = gyration_from_rows(traj.u[None, 1:, :])
-    assert batch[0] == pytest.approx(radius_of_gyration(traj), abs=1e-14)
 
 
 def test_count_constant_row_is_square():
@@ -153,17 +137,6 @@ def test_inequality_tight_case():
     row = np.full(6, 0.2)
     rep = local_inequality_check(row, 0, 1.0, 0.0)
     assert rep.lhs == 36 and rep.rhs == 36
-
-
-def test_observable_record_fields():
-    traj = _traj(2, T=3, J=4)
-    rec = observable_record(traj, beta=0.1, epsilon=0.5)
-    assert set(rec) == {"seed", "J", "T", "beta", "epsilon", "R", "N_total"}
-    assert rec["J"] == 4 and rec["T"] == 3
-    assert rec["R"] == pytest.approx(radius_of_gyration(traj))
-    total = sum(self_intersection_count(traj, t, 0.5)
-                for t in range(1, 4))
-    assert rec["N_total"] == total
 
 
 def test_epsilon_validation():

@@ -37,13 +37,6 @@ def test_mode_zero_weight_and_profile():
     assert np.allclose(b.a[1:], np.sqrt(2.0 / 9))
 
 
-def test_phi_at_matches_table():
-    b = build_basis(7)
-    for m in range(7):
-        for n in range(7):
-            assert b.phi_at(m, n) == pytest.approx(b.phi[m, n], abs=1e-15)
-
-
 def test_basis_arrays_readonly():
     b = build_basis(4)
     with pytest.raises(ValueError):
