@@ -326,9 +326,11 @@ def run_scaling_study(config: StudyConfig) -> ScalingReport:
     assembled in J_list order.  R_mean is the quadratic mean of R over
     replicates, matched against the closed-form column R_exact.  The
     log-log slope is fitted over unflagged rows; fewer than 3 of them
-    raises the degeneracy error.  With output_dir set, writes
-    scaling.csv and scaling_summary.jsonl.
+    raises the degeneracy error.  With output_dir set, creates it before
+    any cell runs and writes scaling.csv and scaling_summary.jsonl.
     """
+    if config.output_dir is not None:
+        os.makedirs(config.output_dir, exist_ok=True)
     with ThreadPoolExecutor(max_workers=min(4, len(config.J_list))) as pool:
         rows = list(pool.map(lambda J: _scaling_cell(config, J),
                              config.J_list))
@@ -392,12 +394,14 @@ def run_tail_probes(config: StudyConfig, K1: float, K2: float) -> dict:
     errors.  Horizons run concurrently; the table is assembled in
     T_list order.  Sampling is stationary-start (direct at beta=0,
     Metropolis otherwise) so horizon comparisons are not confounded by
-    the burn-in transient."""
+    the burn-in transient.  An output_dir is created before sampling."""
     if not 0.0 <= K1 < K2:
         raise ConfigError("need 0 <= K1 < K2")
     if config.T_list is None or len(config.T_list) < 2:
         raise ConfigError("tail probes need T_list with at least two "
                           "horizons")
+    if config.output_dir is not None:
+        os.makedirs(config.output_dir, exist_ok=True)
     ts = sorted(config.T_list)
     with ThreadPoolExecutor(max_workers=min(4, len(ts))) as pool:
         rows = list(pool.map(lambda T: _tail_cell(config, T, K1, K2), ts))
@@ -716,11 +720,6 @@ def _normalize_report(report):
                 "lower_nonincreasing": report["lower_nonincreasing"],
                 "upper_nonincreasing": report["upper_nonincreasing"]}
         return "tails", _TAIL_FIELDS, report["rows"], meta
-    if isinstance(report, dict) and "fieldnames" in report:
-        meta = dict(report.get("meta", {}))
-        meta.setdefault("schema_version", SCHEMA_VERSION)
-        return (report.get("stem", "report"), tuple(report["fieldnames"]),
-                report["rows"], meta)
     raise TypeError(f"cannot emit report of type {type(report).__name__}")
 
 

@@ -34,13 +34,8 @@ def radius_of_gyration(traj: Trajectory) -> float:
     return float(np.sqrt(np.mean(dev ** 2)))
 
 
-# pair comparisons per broadcast block: 16 rows at J = 64, 1024 at J = 8
+# pair comparisons in one broadcast call: 1024 rows at J = 8, 16 at J = 64
 _BROADCAST_BLOCK = 1 << 16
-
-
-def _broadcast_counts(rows: np.ndarray, epsilon: float) -> np.ndarray:
-    close = np.abs(rows[..., :, None] - rows[..., None, :]) <= epsilon
-    return close.sum(axis=(-2, -1)).astype(np.int64)
 
 
 def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
@@ -48,46 +43,46 @@ def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
     |u_i - u_j| <= epsilon, for a batch of configurations: shape
     (..., J) -> (...).  This is the library's only pair counter.
 
-    J <= 64 uses broadcast comparisons, J^2 per row, in blocks of at most
-    2^16 // J^2 rows, so the float64 temporary is at most 0.5 MB whatever the
-    batch size; wider rows use sorted two-sided searches, O(J log J) per row.
-    Per row on a 2-core Xeon with numpy 2.4, 4000-row batches took 3.1 us
-    blocked vs 11.5 us sorted at J = 32, 6.8 vs 12.3 at J = 48, 11.2 vs
-    13.4 at J = 64, 14.0 vs 13.8 at J = 72 and 19.5 vs 15.5 at J = 80;
-    unblocked, one broadcast over the whole batch took 9.4 us at J = 32
-    and 40 us at J = 64.  A batch of at most one block, such as every
-    Metropolis tail update at J = 8, skips the block loop: a (64, 8) call
-    took 17.2 us that way and 19.4 us through a one-pass loop, and the
-    tails study makes ~130k such calls.
+    A batch of at most _BROADCAST_BLOCK pair comparisons (rows.size * J),
+    such as every Metropolis tail update at J = 8, is one broadcast call.
+    Larger ones sort each row and scan lags k = 1, 2, ...: each near pair
+    x[i+k] - x[i] <= eps counts twice on top of the diagonal pairs.  In
+    a sorted row that difference only grows with k, rounded or not, so a
+    row with no near pair at lag k is dropped; the scan stops when none is
+    left.  Both paths subtract directly, so they agree on every pair.
 
-    The sorted path resolves boundary pairs through the interval test
-    u_j in [u_i - eps, u_i + eps]; when a pair distance differs from eps
-    by less than one rounding error this can disagree with direct
-    subtraction by a pair or two.
+    Per row, best of 7 on a 2-core Xeon with numpy 2.4, on free strings
+    at t = 1..64 from the zero profile, eps = 0.5 (b: one broadcast call):
+
+        rows     J = 16    J = 32    J = 64    J = 128
+           8     1.2 b     2.9 b     8.6 b     22 us
+          64     0.6 b     5.8 b     3.4       6.4
+         256     1.6 b     1.0       2.0       4.8
+        2000     0.37      0.71      2.1       6.0
+
+    Few wide rows are the slow end: at J = 128 one row takes 33 us (one
+    broadcast) and 8 rows 170 us, as a row near the zero profile is
+    scanned to its last lag.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     rows = np.asarray(rows, dtype=float)
     J = rows.shape[-1]
-    if J <= 64:
-        if rows.size * J <= _BROADCAST_BLOCK:
-            return _broadcast_counts(rows, epsilon)
-        n = rows.size // J
-        step = _BROADCAST_BLOCK // (J * J)
-        flat = rows.reshape(n, J)
-        out = np.empty(n, dtype=np.int64)
-        for r in range(0, n, step):
-            out[r:r + step] = _broadcast_counts(flat[r:r + step], epsilon)
-        return out.reshape(rows.shape[:-1])
-    x = np.sort(rows, axis=-1)
-    flat = x.reshape(-1, J)
-    out = np.empty(flat.shape[0], dtype=np.int64)
-    for r in range(flat.shape[0]):
-        row = flat[r]
-        lo = np.searchsorted(row, row - epsilon, side="left")
-        hi = np.searchsorted(row, row + epsilon, side="right")
-        out[r] = (hi - lo).sum()
-    return out.reshape(x.shape[:-1])
+    if rows.size * J <= _BROADCAST_BLOCK:
+        close = np.abs(rows[..., :, None] - rows[..., None, :]) <= epsilon
+        return close.sum(axis=(-2, -1)).astype(np.int64)
+    x = np.sort(rows.reshape(-1, J), axis=1)
+    out = np.isfinite(x).sum(axis=1)            # the near diagonal pairs
+    live = np.arange(x.shape[0])
+    for k in range(1, J):
+        near = (x[:, k:] - x[:, :-k] <= epsilon).sum(axis=1, dtype=np.int32)
+        out[live] += 2 * near
+        if not near.all():
+            keep = near > 0
+            x, live = x[keep], live[keep]
+            if not live.size:
+                break
+    return out.reshape(rows.shape[:-1])
 
 
 def self_intersection_count(traj, t=0, epsilon: float = None) -> int:

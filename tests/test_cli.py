@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import polymerlab
+from polymerlab import experiments
 from polymerlab.cli import build_parser, main
 
 
@@ -248,6 +249,32 @@ def test_unwritable_out_exits_two(argv, tmp_path, capsys):
     assert err.startswith("io error:")
     assert str(blocker) in err
     assert "Traceback" not in err
+
+
+# the drivers create the report directory before sampling, so an --out
+# that cannot be written exits 2 before any cell runs; a writable one runs
+# every cell through the same spy
+@pytest.mark.parametrize("argv, cell, cells", [
+    (("scaling", "--J", "4,8,16", "--T", "4", "--replicates", "10"),
+     "_scaling_cell", 3),
+    (("tails", "--J", "4", "--T-list", "4,8", "--beta", "0",
+      "--replicates", "10"), "_tail_cell", 2),
+])
+def test_unwritable_out_fails_before_any_cell(argv, cell, cells, tmp_path,
+                                              capsys, monkeypatch):
+    calls = []
+    real = getattr(experiments, cell)
+    monkeypatch.setattr(experiments, cell,
+                        lambda *a: calls.append(a) or real(*a))
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    code, _, err = run(capsys, *argv, "--out", str(blocker))
+    assert code == 2
+    assert err.startswith("io error:")
+    assert calls == []
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "reports"))
+    assert code == 0
+    assert len(calls) == cells
 
 
 # the CLI's import graph is numpy-only: scipy alone took ~1.1 s of a

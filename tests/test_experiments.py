@@ -269,17 +269,6 @@ def test_emit_report_bad_format(tmp_path):
         emit_report(object(), "csv", str(tmp_path))
 
 
-def test_emit_generic_dict(tmp_path):
-    rep = {"stem": "probe", "fieldnames": ("k", "v"),
-           "rows": [{"k": "x", "v": 2}], "meta": {"kind": "probe"}}
-    p_csv = emit_report(rep, "csv", str(tmp_path))
-    p_json = emit_report(rep, "jsonl", str(tmp_path))
-    assert p_csv.endswith("probe.csv")
-    meta, rows = read_report_jsonl(p_json)
-    assert meta["schema_version"] == "1.0"
-    assert rows == [{"k": "x", "v": 2}]
-
-
 def test_json_lines_are_compact_and_sorted():
     line = ex._json_line({"b": 1.0 / 3.0, "a": Convention.PAPER})
     obj = json.loads(line)

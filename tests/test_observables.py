@@ -10,10 +10,12 @@ from polymerlab.observables import (intersection_counts_batch,
                                     self_intersection_count)
 
 
-def self_intersection_count_brute(row, epsilon):
-    """Quadratic oracle: direct subtraction over every ordered pair."""
-    x = np.asarray(row, dtype=float)
-    return int((np.abs(x[:, None] - x[None, :]) <= epsilon).sum())
+def self_intersection_count_brute(rows, epsilon):
+    """Quadratic oracle: direct subtraction over every ordered pair, for
+    one row or a batch (..., J)."""
+    x = np.asarray(rows, dtype=float)
+    close = np.abs(x[..., :, None] - x[..., None, :]) <= epsilon
+    return close.sum(axis=(-2, -1))
 
 
 def _traj(seed=0, T=4, J=6):
@@ -31,6 +33,11 @@ def test_radius_of_gyration_hand_value():
 def test_count_constant_row_is_square():
     row = np.zeros(7)
     assert self_intersection_count(row, 0, 0.5) == 49
+    # past the broadcast limit the lag scan must run to lag J - 1
+    for J in (1, 2, 7, 64, 130):
+        rows = np.zeros(((1 << 16) // (J * J) + 1, J))
+        counts = intersection_counts_batch(rows, 0.5)
+        assert counts.tolist() == [J * J] * len(rows)
 
 
 def test_count_spread_row_is_diagonal():
@@ -52,11 +59,9 @@ def test_count_matches_brute_on_ties():
             == self_intersection_count_brute(row, 0.5))
 
 
-# dyadic lattice: differences are exact, so the interval test and the
-# direct subtraction agree on every boundary tie.  Off the lattice the
-# two can differ when |u_i - u_j| sits within one ulp of eps (see the
-# note on intersection_counts_batch); that is a rounding coincidence, not
-# a property of either algorithm.
+# dyadic lattice: differences are exact, so boundary ties |u_i - u_j| ==
+# eps are common and every one must count.  Off the lattice the counter
+# and the oracle still agree exactly, since both subtract directly.
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-51200, 51200), min_size=1, max_size=24),
        st.integers(1, 10240))
@@ -67,38 +72,64 @@ def test_count_sorted_equals_brute(grid_values, grid_eps):
             == self_intersection_count_brute(row, eps))
 
 
-# widths on both sides of the J <= 64 switch (broadcast and sorted
-# search).  At J = 33-64 the batches also fall on both sides of the
-# broadcast row block, 2^16 // J^2 rows (60 at J = 33, 16 at J = 64); they
-# are too large to draw as lists, so a seeded draw puts their values on
-# multiples of the grid eps plus an offset of -1, 0 or 1, which puts many
-# pairs exactly eps apart
-@settings(max_examples=120, deadline=None)
+# widths 1-24, 33-64 and 65-130 with batches on both sides of the one-call
+# broadcast limit, 2^16 // J^2 rows (65536 at J = 1, 16 at J = 64, 3 at
+# J = 130), so both the broadcast and the lag scan see every width.  Small
+# batches are drawn as hypothesis lists on the dyadic lattice; large ones
+# come from a numpy generator seeded by hypothesis, either on the lattice
+# (multiples of the grid eps plus an offset of -1, 0 or 1, so many pairs lie
+# exactly eps apart) or off it (scaled standard normals, half the sites
+# shifted by eps from another site, so many differences round to either
+# side of eps)
+@settings(max_examples=240, deadline=None)
 @given(st.one_of(st.integers(1, 24), st.integers(33, 64),
-                 st.integers(65, 96)),
-       st.integers(1, 10240), st.data())
-def test_batch_counts_equal_brute_both_paths(J, grid_eps, data):
-    if 33 <= J <= 64:
-        k = data.draw(st.integers(1, 2 * ((1 << 16) // (J * J)) + 1))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        grid = (grid_eps * rng.integers(-4, 5, (k, J))
-                + rng.integers(-1, 2, (k, J)))
-    else:
+                 st.integers(65, 130)),
+       st.integers(1, 10240), st.sampled_from(("list", "grid", "normal")),
+       st.data())
+def test_batch_counts_equal_brute_both_paths(J, grid_eps, kind, data):
+    eps = grid_eps / 1024.0
+    if kind == "list":
         k = data.draw(st.integers(1, 4))
         grid = data.draw(st.lists(st.integers(-51200, 51200),
                                   min_size=k * J, max_size=k * J))
-    rows = np.array(grid, dtype=float).reshape(k, J) / 1024.0
-    eps = grid_eps / 1024.0
-    expect = [self_intersection_count_brute(r, eps) for r in rows]
-    assert intersection_counts_batch(rows, eps).tolist() == expect
+        rows = np.array(grid, dtype=float).reshape(k, J) / 1024.0
+    else:
+        k = data.draw(st.integers(1, 2 * ((1 << 16) // (J * J)) + 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        if kind == "grid":
+            grid = (grid_eps * rng.integers(-4, 5, (k, J))
+                    + rng.integers(-1, 2, (k, J)))
+            rows = grid / 1024.0
+        else:
+            rows = rng.standard_normal((k, J)) * eps * rng.uniform(0.5, 8.0)
+            half = rng.random(J) < 0.5
+            rows[:, half] = rows[:, rng.integers(0, J, half.sum())] + eps
+    assert (intersection_counts_batch(rows, eps).tolist()
+            == self_intersection_count_brute(rows, eps).tolist())
+
+
+# width-65 rows on which the old J > 64 search miscounted: a pair whose
+# difference rounds to just above eps (fl(0.30000000000000004 - 0.1) =
+# 0.20000000000000004, although 0.30000000000000004 <= fl(0.1 + 0.2)), and
+# nan or infinite sites, which are near nothing, not even themselves
+@pytest.mark.parametrize("row, eps, expect", [
+    (np.concatenate(([0.1, 0.30000000000000004], 10.0 * np.arange(1, 64))),
+     0.2, 65),
+    (np.concatenate(([np.nan, np.inf, -np.inf], np.zeros(62))), 0.5, 62 * 62),
+])
+def test_rounded_and_non_finite_rows_count_like_the_oracle(row, eps, expect):
+    with np.errstate(invalid="ignore"):
+        assert self_intersection_count_brute(row, eps) == expect
+        assert self_intersection_count(row, 0, eps) == expect
+        rows = np.tile(row, (16, 1))             # past the broadcast limit
+        assert intersection_counts_batch(rows, eps).tolist() == [expect] * 16
 
 
 def test_batch_counts_keep_leading_shape_across_blocks():
     rows = np.random.default_rng(2).normal(size=(3, 25, 48))
     counts = intersection_counts_batch(rows, 0.3)
     assert counts.shape == (3, 25)
-    assert counts.ravel().tolist() == [self_intersection_count_brute(r, 0.3)
-                                       for r in rows.reshape(-1, 48)]
+    assert counts.tolist() == self_intersection_count_brute(rows, 0.3).tolist()
 
 
 def test_occupancy_histogram_totals():
