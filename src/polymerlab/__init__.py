@@ -9,18 +9,16 @@ time-averaged squared modes, and batch experiment drivers with
 deterministic reports.
 """
 
-from .ar1 import (AR1Params, CumulantDomainError, DegenerateProcessError,
-                  ModeProcess, ar1_params_for_mode, cumulant_fixed_point,
-                  cumulant_threshold, gyration_spectral_identity,
-                  legendre_rate, mode_decompose, rate_function,
-                  rate_function_as_printed, reconstruct_centered, tail_probe)
-from .dynamics import (NoiseField, PinnedString, Trajectory, counter_rng,
-                       mode_innovation_std, neumann_laplacian, pinned_string,
-                       read_trajectory_binary, required_past_depth,
-                       sample_noise, sample_stationary_field,
-                       sample_stationary_pinned, simulate_recursion,
-                       solution_formula, stationary_mode_std,
-                       trajectory_to_csv, truncation_error_bound,
+from .ar1 import (AR1Params, DegenerateProcessError, ModeProcess,
+                  ar1_params_for_mode, cumulant_threshold, legendre_rate,
+                  mode_decompose, rate_function, reconstruct_centered,
+                  tail_probe)
+from .dynamics import (NoiseField, Trajectory, counter_rng,
+                       mode_innovation_std, neumann_laplacian,
+                       read_trajectory_binary, sample_noise,
+                       sample_stationary_field, sample_stationary_pinned,
+                       simulate_recursion, solution_formula,
+                       stationary_mode_std, trajectory_to_csv,
                        write_trajectory_binary)
 from .experiments import (ConfigError, ScalingReport, StudyConfig,
                           ValidationReport, emit_report, load_config,
@@ -30,10 +28,9 @@ from .experiments import (ConfigError, ScalingReport, StudyConfig,
                           scaling_exact_r2, validation_manifest)
 from .gibbs import (SamplerDegeneracyError, WeightedEnsemble,
                     estimate_measure, jensen_lower_bound, metropolis_sampler,
-                    pair_proximity_bound, sample_ensemble, sample_measure)
+                    sample_ensemble, sample_measure)
 from .increments import (IncrementStat, ScanResult, ScanRow,
                          increment_mean_and_variance,
-                         min_variance_by_distance,
                          monte_carlo_increment_check, scan_distances,
                          variance_scaling_scan)
 from .observables import (InequalityReport, OccupancyHistogram,

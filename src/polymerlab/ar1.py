@@ -2,18 +2,14 @@
 large-deviation machinery for time-averaged squared modes.
 
 Each cosine mode of the centered field is an AR(1) chain.  The module
-decomposes trajectories into those chains, verifies the Parseval link
-between the gyration radius and the mode time averages, and evaluates
-the rate function governing P(S_T > K) together with its cumulant
-fixed point and Monte Carlo tail probes.
+decomposes trajectories into those chains and evaluates the rate
+function governing P(S_T > K), its Legendre-transform construction from
+the limiting cumulant, and Monte Carlo tail probes.
 
 The rate function is normalized to unit innovation variance; general
 variances enter through I_sigma(x) = I_1(x / sigma^2).  That choice is
 forced by the zero: the minimizer sits at 1/(1-rho^2), the stationary
-second moment of the UNIT-variance chain, for every sigma.  An
-alternative normalization that weights only the second bracket by
-1/(2 sigma^2) is kept alongside for comparison; the two agree exactly
-at sigma = 1 and disagree elsewhere.
+second moment of the UNIT-variance chain, for every sigma.
 """
 
 from __future__ import annotations
@@ -26,20 +22,11 @@ import numpy as np
 from .dynamics import counter_rng, mode_innovation_std
 from .spectral import Basis, Convention
 
-_FIXED_POINT_TOL = 1e-12
-_FIXED_POINT_MAX_ITER = 100_000
+_LEGENDRE_GRID = 20_001
 
 
 class DegenerateProcessError(ValueError):
     """Zero innovation variance where the operation needs a spread."""
-
-
-class CumulantDomainError(ValueError):
-    """Tilt parameter at or above the explosion threshold."""
-
-    def __init__(self, message: str, last_iterate: float):
-        super().__init__(message)
-        self.last_iterate = last_iterate
 
 
 @dataclass(frozen=True)
@@ -99,27 +86,6 @@ def reconstruct_centered(modes: list, basis: Basis) -> np.ndarray:
     return coeffs @ basis.e[1:]
 
 
-def gyration_spectral_identity(traj, basis: Basis) -> dict:
-    """Check R^2 = c * sum_m S_T^(m) and report the fitted constant.
-
-    Orthonormality of the e_m gives sum_n (u - ubar)^2 = sum_m X_m^2 per
-    row, hence c = 1/J after averaging over sites; a brute-force check
-    fixed that value ahead of this implementation (some presentations
-    absorb the 1/J and print c = 1).  R2_spectral uses the fixed 1/J;
-    `constant` is the per-trajectory fitted ratio, nan for the zero
-    trajectory.
-    """
-    from .observables import radius_of_gyration
-
-    modes = mode_decompose(traj, basis)
-    s_sum = float(sum(mp.time_average for mp in modes))
-    r2 = float(radius_of_gyration(traj) ** 2)
-    c_fixed = 1.0 / basis.J
-    fitted = r2 / s_sum if s_sum > 0.0 else float("nan")
-    return {"R2_direct": r2, "R2_spectral": c_fixed * s_sum,
-            "constant": fitted}
-
-
 def _check_positive_sigma(params: AR1Params):
     if params.sigma2 == 0.0:
         raise DegenerateProcessError(
@@ -150,68 +116,16 @@ def rate_function(params: AR1Params, x):
     return float(out[0]) if scalar else out
 
 
-def rate_function_as_printed(params: AR1Params, x):
-    """Alternative normalization with 1/(2 sigma^2) weighting the
-    second bracket only.  Coincides with `rate_function` at sigma2 = 1;
-    kept for side-by-side comparison, not for production use."""
-    _check_positive_sigma(params)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xs = np.atleast_1d(x)
-    out = np.full(xs.shape, np.inf)
-    pos = xs > 0.0
-    xp = xs[pos]
-    root = np.sqrt(4.0 * params.rho ** 2 * xp ** 2 + 1.0)
-    out[pos] = (-0.5 * np.log(2.0 * xp / (1.0 + root))
-                + ((params.rho ** 2 + 1.0) * xp - root)
-                / (2.0 * params.sigma2))
-    return float(out[0]) if scalar else out
-
-
 def cumulant_threshold(params: AR1Params) -> float:
     """Largest tilt with a finite limiting cumulant: (1-rho)^2/(2 sigma2)."""
     _check_positive_sigma(params)
     return (1.0 - params.rho) ** 2 / (2.0 * params.sigma2)
 
 
-def cumulant_fixed_point(params: AR1Params, y: float) -> dict:
-    """Iterate lambda <- rho^2 lambda / (1 - 2 sigma2 lambda) + y from
-    lambda_0 = y to its stable fixed point; the limiting cumulant of
-    (1/T) log E exp(y sum X_t^2) is -(1/2) ln(1 - 2 sigma2 lambda*).
-
-    Stops when successive iterates agree to 1e-12 or after 1e5 steps; an
-    iterate reaching 1/(2 sigma2) means y is above threshold and raises
-    with the last finite iterate attached.
-    """
-    s2 = params.sigma2
-    r2 = params.rho ** 2
-    lam = float(y)
-    cap = np.inf if s2 == 0.0 else 1.0 / (2.0 * s2)
-    for _ in range(_FIXED_POINT_MAX_ITER):
-        if lam >= cap:
-            raise CumulantDomainError(
-                f"tilt y={y} is at or above the explosion threshold",
-                last_iterate=lam)
-        nxt = r2 * lam / (1.0 - 2.0 * s2 * lam) + y
-        if abs(nxt - lam) < _FIXED_POINT_TOL:
-            lam = nxt
-            break
-        lam = nxt
-    else:
-        raise CumulantDomainError(
-            f"no fixed point within {_FIXED_POINT_MAX_ITER} iterations "
-            f"for tilt y={y}", last_iterate=lam)
-    if lam >= cap:
-        raise CumulantDomainError(
-            f"tilt y={y} is at or above the explosion threshold",
-            last_iterate=lam)
-    cum = 0.0 if s2 == 0.0 else -0.5 * np.log(1.0 - 2.0 * s2 * lam)
-    return {"lambda_star": lam, "cumulant": float(cum)}
-
-
 def _cumulant_grid(params: AR1Params, ys: np.ndarray) -> np.ndarray:
-    """Limiting cumulant on a grid, via the closed-form stable root of
-    the fixed-point quadratic 2 s2 L^2 - (1 - r2 + 2 s2 y) L + y = 0."""
+    """Limiting cumulant -(1/2) ln(1 - 2 s2 L) on a grid, where L is the
+    stable fixed point of L <- r2 L / (1 - 2 s2 L) + y, taken in closed
+    form as a root of 2 s2 L^2 - (1 - r2 + 2 s2 y) L + y = 0."""
     s2 = params.sigma2
     r2 = params.rho ** 2
     b = 1.0 - r2 + 2.0 * s2 * ys
@@ -224,7 +138,7 @@ def _cumulant_grid(params: AR1Params, ys: np.ndarray) -> np.ndarray:
                     np.inf)
 
 
-def legendre_rate(params: AR1Params, x, n_grid: int = 20_001):
+def legendre_rate(params: AR1Params, x):
     """Numerical Legendre transform sup_y (x y - cumulant(y)) over a grid
     reaching deep into the negative tilts (the optimizer for small x sits
     far left) and up to just under the explosion threshold.
@@ -237,8 +151,8 @@ def legendre_rate(params: AR1Params, x, n_grid: int = 20_001):
     y_hi = cumulant_threshold(params)
     y_lo = -60.0 / params.sigma2
     gap0 = 0.01 * (y_hi - y_lo)
-    body = np.linspace(y_lo, y_hi - gap0, n_grid)
-    tail = y_hi - gap0 * np.logspace(0.0, -9.0, n_grid // 4)[1:]
+    body = np.linspace(y_lo, y_hi - gap0, _LEGENDRE_GRID)
+    tail = y_hi - gap0 * np.logspace(0.0, -9.0, _LEGENDRE_GRID // 4)[1:]
     ys = np.concatenate([body, tail])
     cums = _cumulant_grid(params, ys)
     x = np.asarray(x, dtype=float)

@@ -19,7 +19,7 @@ from .ar1 import AR1Params, rate_function, tail_probe
 from .dynamics import (sample_noise, simulate_recursion, trajectory_to_csv,
                        write_trajectory_binary)
 from .experiments import (_FIELD_PARSERS, ConfigError, _json_line,
-                          load_config, quantize12, rows_to_csv,
+                          _parse_list, load_config, quantize12, rows_to_csv,
                           run_scaling_study, run_tail_probes,
                           run_validation_suite)
 from .gibbs import (SAMPLERS, SamplerDegeneracyError, estimate_measure,
@@ -144,7 +144,7 @@ def _cmd_gibbs(cfg, args) -> int:
 def _cmd_ldp(cfg, args) -> int:
     params = AR1Params(rho=args.rho, sigma2=args.sigma2)
     rows = []
-    for x in (float(p) for p in args.x.split(",") if p.strip()):
+    for x in _parse_list(args.x, float):
         rows.append({"rho": params.rho, "sigma2": params.sigma2,
                      "x_or_K": quantize12(x),
                      "value": quantize12(rate_function(params, x))})

@@ -1,5 +1,6 @@
 """Noise generation, the forward height recursion, closed-form solutions,
-and stationary / pinned sampling of the random string.
+exact stationary sampling (free, or pinned to zero at one site) and file
+IO of the random string.
 
 The field u(t, n) on {0..T} x {0..J-1} evolves by
 
@@ -188,115 +189,6 @@ def sample_stationary_pinned(basis: Basis, n0: int, rng: np.random.Generator,
     X = rng.standard_normal((size, basis.J)) * sd
     synth = basis.e - basis.e[:, [n0]]
     return X @ synth
-
-
-@dataclass(frozen=True)
-class PinnedString:
-    """Anchored string over times t0..t0+horizon built from a finite
-    window of fresh noise plus a depth-S truncation of the past."""
-
-    t0: int
-    n0: int
-    depth: int
-    u: np.ndarray        # (horizon+1, J); u[0] is the slice at time t0
-    kappa: float
-    convention: Convention
-
-
-def truncation_error_bound(basis: Basis, S: int, n: int, n0: int,
-                           dt: int) -> float:
-    """Closed geometric form of the variance neglected by cutting the past
-    at depth S: sum over s > S of (rho^(dt+s) phi_m(n) - rho^s phi_m(n0))^2,
-    summed over modes m >= 1."""
-    if S < 1:
-        raise ValueError("depth must be at least 1")
-    for site, name in ((n, "n"), (n0, "n0")):
-        if not (0 <= site < basis.J):
-            raise ValueError(f"site {name}={site} outside 0..{basis.J - 1}")
-    rho = basis.rho[1:]
-    amp = (rho ** dt) * basis.phi[1:, n] - basis.phi[1:, n0]
-    q = rho ** 2
-    return float(np.sum(amp ** 2 * q ** (S + 1) / (1.0 - q)))
-
-
-def required_past_depth(basis: Basis, tolerance: float,
-                        max_depth: int = 200_000) -> int:
-    """Smallest S with the a-priori tail bound 4 * sum_m rho^(2(S+1))/(1-rho^2)
-    below tolerance.  Raises naming the required depth when it exceeds the
-    cap (spectral gap too small)."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    q = basis.rho[1:] ** 2
-    denom = 1.0 - q
-
-    def tail(S):
-        return 4.0 * float(np.sum(q ** (S + 1) / denom))
-
-    if basis.J < 2 or tail(1) <= tolerance:
-        return 1
-    qmax = float(q.max())
-    if qmax <= 0.0:
-        return 1
-    # geometric envelope gives a good starting guess, then walk to exact
-    guess = int(np.ceil(np.log(tolerance * denom.min() / (4.0 * len(q)))
-                        / np.log(qmax))) if qmax < 1.0 else max_depth + 1
-    S = max(1, min(guess, max_depth))
-    while S > 1 and tail(S - 1) <= tolerance:
-        S -= 1
-    while tail(S) > tolerance:
-        S += 1
-        if S > max_depth:
-            need = S
-            while tail(need) > tolerance and need < 100 * max_depth:
-                need *= 2
-            raise ValueError(
-                f"tolerance {tolerance} needs past depth about {need}, "
-                f"beyond the cap {max_depth}; the slowest mode decays too "
-                f"slowly")
-    return S
-
-
-def pinned_string(basis: Basis, t0: int, n0: int, horizon: int,
-                  tolerance: float, seed: int,
-                  conv: Convention = Convention.LITERAL,
-                  max_depth: int = 200_000) -> PinnedString:
-    """Time-stepped construction of the string anchored at (t0, n0).
-
-    The past is truncated at the depth S that drives the neglected
-    variance below `tolerance`; the S retained past rows and the horizon
-    fresh rows are simulated mode by mode.  The anchored past contributes
-    rho^dt W_m on mode m minus its value at (t0, n0), so u[0][n0] is zero
-    by construction.
-    """
-    if basis.J < 2:
-        raise ValueError("pinned string needs J >= 2")
-    if not (0 <= n0 < basis.J):
-        raise ValueError(f"anchor site {n0} outside 0..{basis.J - 1}")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    S = required_past_depth(basis, tolerance, max_depth)
-    rng = counter_rng(seed)
-    rho = basis.rho[1:]
-    sig = mode_innovation_std(basis, conv)[1:]
-
-    # truncated past, oldest first: W_m = sum_{r=0}^{S-1} rho^r innov_r
-    innov_past = rng.standard_normal((S, basis.J - 1)) * sig
-    rpow = rho[None, :] ** np.arange(S)[:, None]
-    W = (rpow * innov_past).sum(axis=0)
-
-    # fresh modes from t0 onward: X(dt+1) = rho X(dt) + innov
-    X = np.zeros((horizon + 1, basis.J - 1))
-    if horizon > 0:
-        innov_new = rng.standard_normal((horizon, basis.J - 1)) * sig
-        for dt in range(horizon):
-            X[dt + 1] = rho * X[dt] + innov_new[dt]
-
-    dts = np.arange(horizon + 1)[:, None]
-    coef = X + (rho[None, :] ** dts) * W[None, :]
-    e = basis.e[1:]
-    u = coef @ e - (W @ e[:, n0])[None]
-    return PinnedString(t0=t0, n0=n0, depth=S, u=u, kappa=basis.kappa,
-                        convention=conv)
 
 
 def trajectory_to_csv(traj: Trajectory, path=None):

@@ -20,14 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ar1 import AR1Params, legendre_rate, rate_function
+from .ar1 import (AR1Params, legendre_rate, mode_decompose, rate_function,
+                  reconstruct_centered)
 from .dynamics import (counter_rng, mode_innovation_std, sample_noise,
                        simulate_recursion, solution_formula,
                        stationary_mode_std)
 from .gibbs import (SAMPLERS, SamplerDegeneracyError, jensen_lower_bound,
                     sample_measure)
 from .increments import monte_carlo_increment_check
-from .observables import intersection_counts_batch, local_inequality_check
+from .observables import (intersection_counts_batch, local_inequality_check,
+                          radius_of_gyration)
 from .spectral import (Basis, Convention, build_basis, cosecant_square_sum,
                        green_function, normalizing_constant_c0,
                        transition_matrix_power)
@@ -39,13 +41,14 @@ class ConfigError(ValueError):
     """Bad key, bad value, or unreadable study configuration."""
 
 
-def _parse_int_list(s):
+def _parse_list(s, kind=int):
+    """A comma list (or a sequence) of `kind`, as a tuple."""
     try:
         if isinstance(s, (tuple, list)):
-            return tuple(int(p) for p in s)
-        return tuple(int(p) for p in str(s).split(",") if p.strip())
+            return tuple(kind(p) for p in s)
+        return tuple(kind(p) for p in str(s).split(",") if p.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad integer list {s!r}") from exc
+        raise ConfigError(f"bad {kind.__name__} list {s!r}") from exc
 
 
 def _parse_convention(s):
@@ -99,6 +102,8 @@ class StudyConfig:
             raise ConfigError("epsilon must be positive")
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"sampler must be one of {SAMPLERS}")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.replicates < 1:
             raise ConfigError("replicates must be positive")
         if self.ess_floor <= 0.0:
@@ -113,9 +118,9 @@ class StudyConfig:
 
 
 _FIELD_PARSERS = {
-    "J_list": _parse_int_list,
+    "J_list": _parse_list,
     "T": int,
-    "T_list": _parse_int_list,
+    "T_list": _parse_list,
     "kappa": float,
     "beta": float,
     "epsilon": float,
@@ -582,7 +587,6 @@ def _check_legendre(config):
 
 @validation_check("mode_reconstruction")
 def _check_reconstruction(config):
-    from .ar1 import mode_decompose, reconstruct_centered
     basis = build_basis(8)
     noise = sample_noise(5, 16, 8)
     traj = simulate_recursion(np.zeros(8), noise)
@@ -590,7 +594,12 @@ def _check_reconstruction(config):
     centered = traj.u[1:] - traj.u[1:].mean(axis=1, keepdims=True)
     worst = float(np.abs(reconstruct_centered(modes, basis)
                          - centered).max())
-    return (worst < 1e-9, f"max reconstruction error {worst:.3g}")
+    # Parseval: R^2 = (1/J) sum_m S_T^(m) over the orthonormal modes
+    r2_spectral = sum(mp.time_average for mp in modes) / basis.J
+    parseval = abs(r2_spectral / radius_of_gyration(traj) ** 2 - 1.0)
+    return (worst < 1e-9 and parseval < 1e-9,
+            f"max reconstruction error {worst:.3g}, "
+            f"Parseval |R^2 spectral / direct - 1| = {parseval:.3g}")
 
 
 @validation_check("report_roundtrip")

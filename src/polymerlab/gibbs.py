@@ -13,7 +13,6 @@ beta*T*J ~ 700.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from .dynamics import (counter_rng, mode_innovation_std, neumann_laplacian,
                        sample_stationary_field, stationary_mode_std)
-from .increments import min_variance_by_distance
 from .observables import intersection_counts_batch
 from .spectral import Basis, Convention
 
@@ -381,28 +379,3 @@ def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,
                             diagnostics={"acceptance_rate": rate,
                                          "sweeps": sweeps, "thin": thin,
                                          "burnin": burnin})
-
-
-def pair_proximity_bound(basis: Basis, epsilon: float,
-                         conv: Convention = Convention.LITERAL) -> float:
-    """Analytic upper bound on the expected near-pair count of the
-    stationary string:
-
-        J + sum_d 2 (J - d) (2 Phi(eps / sigma_min(d)) - 1)
-
-    where sigma_min(d) is the SMALLEST increment deviation among pairs at
-    separation d.  The smallest deviation gives each separation class its
-    largest pairing probability, which keeps the sum an upper bound for
-    every pair; a degenerate class (zero variance) contributes
-    probability one.
-    """
-    if basis.J < 2:
-        raise ValueError("needs J >= 2")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    var = min_variance_by_distance(basis, conv)[1:]
-    # 2 Phi(x) - 1 = erf(x / sqrt 2); a zero-variance class pairs surely
-    prob = np.array([math.erf(epsilon / math.sqrt(2.0 * v)) if v > 0.0
-                     else 1.0 for v in var])
-    d = np.arange(1, basis.J)
-    return float(basis.J + np.sum(2.0 * (basis.J - d) * prob))

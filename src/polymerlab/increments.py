@@ -59,20 +59,6 @@ def increment_mean_and_variance(basis: Basis, i: int, j: int,
     return IncrementStat(i=i, j=j, mean=0.0, variance=var, convention=conv)
 
 
-def min_variance_by_distance(basis: Basis,
-                             conv: Convention = Convention.LITERAL
-                             ) -> np.ndarray:
-    """Entry d = 1..J-1: the smallest increment variance over all pairs at
-    separation d.  Index 0 is 0 (coincident sites)."""
-    w = _mode_weights(basis, conv)
-    J = basis.J
-    out = np.zeros(J)
-    for d in range(1, J):
-        diffs = basis.phi[1:, :J - d] - basis.phi[1:, d:]
-        out[d] = float(np.min(np.sum(w[:, None] * diffs ** 2, axis=0)))
-    return out
-
-
 @dataclass(frozen=True)
 class ScanRow:
     J: int

@@ -34,8 +34,11 @@ def radius_of_gyration(traj: Trajectory) -> float:
     return float(np.sqrt(np.mean(dev ** 2)))
 
 
-# pair comparisons in one broadcast call: 1024 rows at J = 8, 16 at J = 64
-_BROADCAST_BLOCK = 1 << 16
+# pair comparisons in one broadcast call: 512 rows at J = 8, 8 at J = 64.
+# Somewhere between about 40k and 53k comparisons (a 0.3-0.4 MB float
+# temporary) the broadcast turns 2-3x slower than the lag scan; at 2^15
+# it was faster at every J = 8-128 on the host of the table below.
+_BROADCAST_BLOCK = 1 << 15
 
 
 def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
@@ -55,13 +58,13 @@ def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
     at t = 1..64 from the zero profile, eps = 0.5 (b: one broadcast call):
 
         rows     J = 16    J = 32    J = 64    J = 128
-           8     1.2 b     2.9 b     8.6 b     22 us
-          64     0.6 b     5.8 b     3.4       6.4
-         256     1.6 b     1.0       2.0       4.8
-        2000     0.37      0.71      2.1       6.0
+           8     1.2 b     2.8 b     8.4 b     45 us
+          64     0.59 b    2.5       5.2       10
+         256     0.57      1.2       2.6       6.7
+        2000     0.43      1.0       2.3       6.6
 
-    Few wide rows are the slow end: at J = 128 one row takes 33 us (one
-    broadcast) and 8 rows 170 us, as a row near the zero profile is
+    Few wide rows are the slow end: at J = 128 one row takes 38 us (one
+    broadcast) and 8 rows 340 us, as a row near the zero profile is
     scanned to its last lag.
     """
     if epsilon <= 0:

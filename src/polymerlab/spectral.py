@@ -79,31 +79,18 @@ def build_basis(J: int, kappa: float = 0.5) -> Basis:
     return Basis(J=int(J), kappa=kappa)
 
 
-def _check_site(basis, n, name):
-    if not (0 <= n < basis.J):
-        raise ValueError(f"site {name}={n} outside 0..{basis.J - 1}")
-
-
-def green_function(basis: Basis, t: int, n: int | None = None,
-                   k: int | None = None,
-                   conv: Convention = Convention.LITERAL):
-    """Heat kernel G_t by eigen-expansion.
-
-    With n and k omitted, returns the full (J, J) matrix; otherwise the
-    single entry G_t(n, k).  Under LITERAL the result equals the t-th
-    power of the averaging matrix; G_0 is the identity.
+def green_function(basis: Basis, t: int,
+                   conv: Convention = Convention.LITERAL) -> np.ndarray:
+    """Heat kernel G_t as a (J, J) matrix by eigen-expansion.  Under
+    LITERAL it equals the t-th power of the averaging matrix; G_0 is the
+    identity.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
     weight = basis.a ** 2 if conv is Convention.LITERAL else basis.a
     # rho_m^t with 0^0 = 1 so that t = 0 keeps every mode
     rpow = np.ones(basis.J) if t == 0 else basis.rho ** t
-    coef = weight * rpow
-    if n is None and k is None:
-        return (basis.phi.T * coef) @ basis.phi
-    _check_site(basis, n, "n")
-    _check_site(basis, k, "k")
-    return float(np.dot(coef, basis.phi[:, n] * basis.phi[:, k]))
+    return (basis.phi.T * (weight * rpow)) @ basis.phi
 
 
 def transition_matrix(J: int, kappa: float = 0.5) -> np.ndarray:

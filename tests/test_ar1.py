@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from polymerlab.ar1 import (AR1Params, CumulantDomainError,
-                            DegenerateProcessError, cumulant_fixed_point,
-                            cumulant_threshold, gyration_spectral_identity,
-                            legendre_rate, mode_decompose,
-                            ar1_params_for_mode, rate_function,
-                            rate_function_as_printed, reconstruct_centered,
-                            tail_probe)
+from polymerlab.ar1 import (AR1Params, DegenerateProcessError,
+                            ar1_params_for_mode, cumulant_threshold,
+                            legendre_rate, mode_decompose, rate_function,
+                            reconstruct_centered, tail_probe)
 from polymerlab.cli import _LDP_FIELDS
 from polymerlab.dynamics import (NoiseField, counter_rng, sample_noise,
                                  simulate_recursion)
@@ -90,29 +87,6 @@ def test_reconstruction_round_trip():
     assert np.max(np.abs(back - centered)) < 1e-9
 
 
-def test_spectral_identity_hand_case():
-    b = build_basis(2)
-    t = _forced(np.array([[3.0, 1.0]]))
-    out = gyration_spectral_identity(t, b)
-    assert out["R2_direct"] == pytest.approx(1.0)        # dev = (+1, -1)
-    assert out["R2_spectral"] == pytest.approx(1.0)
-    assert out["constant"] == pytest.approx(0.5)
-
-
-def test_spectral_identity_simulated():
-    b = build_basis(8)
-    out = gyration_spectral_identity(_traj(9, 64, 8), b)
-    assert out["R2_spectral"] == pytest.approx(out["R2_direct"], rel=1e-9)
-    assert out["constant"] == pytest.approx(1.0 / 8, rel=1e-12)
-
-
-def test_spectral_identity_zero_trajectory():
-    b = build_basis(4)
-    out = gyration_spectral_identity(_forced(np.zeros((3, 4))), b)
-    assert out["R2_direct"] == 0.0
-    assert np.isnan(out["constant"])
-
-
 def test_rate_zero_at_stationary_mean():
     for rho, s2 in ((0.0, 1.0), (0.7, 1.0), (-0.4, 2.0), (0.92, 0.3)):
         p = AR1Params(rho=rho, sigma2=s2)
@@ -145,16 +119,6 @@ def test_rate_degenerate_sigma_raises():
         cumulant_threshold(p)
 
 
-def test_as_printed_agrees_only_at_unit_variance():
-    xs = np.linspace(0.2, 6.0, 30)
-    p1 = AR1Params(rho=0.6, sigma2=1.0)
-    assert np.allclose(rate_function_as_printed(p1, xs),
-                       rate_function(p1, xs), atol=1e-14)
-    p2 = AR1Params(rho=0.6, sigma2=2.0)
-    diff = np.abs(rate_function_as_printed(p2, xs) - rate_function(p2, xs))
-    assert np.max(diff) > 0.05
-
-
 def test_rate_is_convex():
     p = AR1Params(rho=0.8, sigma2=1.5)
     xs = np.linspace(0.05, 40.0, 4000)
@@ -163,37 +127,9 @@ def test_rate_is_convex():
     assert np.min(second) > -1e-8
 
 
-def test_cumulant_trivial_tilt():
-    p = AR1Params(rho=0.5, sigma2=1.0)
-    out = cumulant_fixed_point(p, 0.0)
-    assert out["lambda_star"] == 0.0
-    assert out["cumulant"] == 0.0
-
-
-def test_cumulant_independent_case_closed_form():
-    # rho = 0: lambda* = y and Lambda = -1/2 ln(1 - 2 sigma2 y)
-    p = AR1Params(rho=0.0, sigma2=0.5)
-    for y in (0.1, 0.5, 0.9):
-        out = cumulant_fixed_point(p, y)
-        assert out["lambda_star"] == pytest.approx(y, abs=1e-10)
-        assert out["cumulant"] == pytest.approx(-0.5 * np.log(1 - y),
-                                                abs=1e-10)
-
-
 def test_cumulant_threshold_formula():
     p = AR1Params(rho=0.6, sigma2=2.0)
     assert cumulant_threshold(p) == pytest.approx(0.16 / 4.0)
-
-
-def test_cumulant_diverges_past_threshold():
-    p = AR1Params(rho=0.6, sigma2=1.0)
-    thr = cumulant_threshold(p)
-    with pytest.raises(CumulantDomainError) as e:
-        cumulant_fixed_point(p, thr * 1.5)
-    assert np.isfinite(e.value.last_iterate) or e.value.last_iterate > 0
-    # just inside the domain still converges
-    out = cumulant_fixed_point(p, thr * 0.999)
-    assert np.isfinite(out["cumulant"])
 
 
 def test_legendre_matches_closed_form():

@@ -166,9 +166,21 @@ def test_missing_config_exits_two(capsys):
 
 
 def test_bad_flag_value_exits_two(capsys):
-    code, _, err = run(capsys, "scaling", "--J", "4,eight")
+    for argv in (("scaling", "--J", "4,eight"), ("ldp", "--x", "1,abc")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "configuration error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gibbs", "--T", "4", "--replicates", "10"),
+    ("simulate", "--T", "2"),
+    ("validate",),
+])
+def test_negative_seed_exits_two(argv, capsys):
+    code, _, err = run(capsys, *argv, "--seed", "-1")
     assert code == 2
-    assert "configuration error" in err
+    assert "seed must be nonnegative" in err
 
 
 FLAGS = {

@@ -5,13 +5,11 @@ import pytest
 
 from polymerlab.dynamics import (NoiseField, Trajectory, counter_rng,
                                  mode_innovation_std, neumann_laplacian,
-                                 pinned_string, read_trajectory_binary,
-                                 required_past_depth, sample_noise,
+                                 read_trajectory_binary, sample_noise,
                                  sample_stationary_field,
                                  sample_stationary_pinned,
                                  simulate_recursion, solution_formula,
                                  stationary_mode_std, trajectory_to_csv,
-                                 truncation_error_bound,
                                  write_trajectory_binary)
 from polymerlab.spectral import Convention, build_basis
 
@@ -142,55 +140,6 @@ def test_stationary_evolution_is_invariant():
     var_u = (u ** 2).sum(axis=1).mean()
     var_v = (v ** 2).sum(axis=1).mean()
     assert var_v == pytest.approx(var_u, rel=0.02)
-
-
-def test_truncation_error_bound_decreases():
-    b = build_basis(8)
-    vals = [truncation_error_bound(b, S, 3, 0, 1) for S in (10, 50, 200)]
-    assert vals[0] > vals[1] > vals[2] > 0
-
-
-def test_required_past_depth_meets_tolerance():
-    b = build_basis(8)
-    tol = 1e-8
-    S = required_past_depth(b, tol)
-    q = b.rho[1:] ** 2
-
-    def envelope(depth):
-        return 4.0 * float(np.sum(q ** (depth + 1) / (1.0 - q)))
-
-    assert envelope(S) <= tol < envelope(S - 1)
-    # the envelope dominates every site pair's actual truncation error
-    assert truncation_error_bound(b, S, 3, 0, 2) <= envelope(S)
-
-
-def test_required_past_depth_unreachable_raises():
-    b = build_basis(64)
-    with pytest.raises(ValueError):
-        required_past_depth(b, 1e-300, max_depth=10)
-
-
-def test_pinned_string_deterministic_and_pinned():
-    b = build_basis(6)
-    p1 = pinned_string(b, t0=0, n0=2, horizon=5, tolerance=1e-8, seed=3)
-    p2 = pinned_string(b, t0=0, n0=2, horizon=5, tolerance=1e-8, seed=3)
-    assert np.array_equal(p1.u, p2.u)
-    assert p1.u[0, 2] == pytest.approx(0.0, abs=1e-12)
-    assert p1.u.shape == (6, 6)
-
-
-def test_pinned_string_increment_variance():
-    # same-time increments of the pinned field follow the closed form
-    from polymerlab.increments import increment_mean_and_variance
-    b = build_basis(8)
-    reps = 4000
-    vals = np.empty(reps)
-    for r in range(reps):
-        p = pinned_string(b, 0, 0, 0, 1e-6, seed=r, max_depth=5000)
-        vals[r] = p.u[0, 3] - p.u[0, 0]
-    stat = increment_mean_and_variance(b, 0, 3, Convention.LITERAL)
-    assert vals.mean() == pytest.approx(0.0, abs=4 * vals.std() / np.sqrt(reps))
-    assert vals.var() == pytest.approx(stat.variance, rel=0.1)
 
 
 def test_trajectory_csv_round_trip_text():

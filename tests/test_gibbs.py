@@ -3,15 +3,13 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import norm
 
-from polymerlab.dynamics import (counter_rng, sample_stationary_field,
-                                 stationary_mode_std)
+from polymerlab.dynamics import counter_rng
 from polymerlab.experiments import scaling_exact_r2
 from polymerlab.gibbs import (SamplerDegeneracyError, WeightedEnsemble,
                               estimate_measure, jensen_lower_bound,
                               logsumexp, metropolis_accept,
-                              metropolis_sampler, pair_proximity_bound,
-                              sample_ensemble, sample_measure)
-from polymerlab.increments import min_variance_by_distance
+                              metropolis_sampler, sample_ensemble,
+                              sample_measure)
 from polymerlab.observables import intersection_counts_batch
 from polymerlab.spectral import Convention, build_basis
 
@@ -259,40 +257,3 @@ def test_metropolis_acceptance_warning():
     # weakly lowers the contact count, so everything is accepted
     with pytest.warns(RuntimeWarning):
         metropolis_sampler(b, 4, 50.0, 1e-8, 10, seed=1, thin=1, burnin=5)
-
-
-def test_pair_proximity_bound_dominates_mc():
-    b = build_basis(8)
-    eps = 0.5
-    for conv in (Convention.LITERAL, Convention.PAPER):
-        bound = pair_proximity_bound(b, eps, conv)
-        rng = counter_rng(17)
-        fields = sample_stationary_field(b, rng, 20_000, conv)
-        mean_n = intersection_counts_batch(fields, eps).mean()
-        assert mean_n <= bound
-        assert bound <= 64.0 + 1e-9
-
-
-def test_pair_proximity_bound_matches_normal_cdf_form():
-    for J in (2, 8, 33):
-        b = build_basis(J)
-        for conv in (Convention.LITERAL, Convention.PAPER):
-            for eps in (1e-3, 0.5, 4.0):
-                sigma = np.sqrt(min_variance_by_distance(b, conv)[1:])
-                prob = 2.0 * norm.cdf(eps / sigma) - 1.0
-                d = np.arange(1, J)
-                want = J + np.sum(2.0 * (J - d) * prob)
-                got = pair_proximity_bound(b, eps, conv)
-                assert abs(got - want) <= 1e-14 * want
-
-
-def test_pair_proximity_bound_saturates():
-    b = build_basis(5)
-    # huge epsilon: every pair within reach, bound hits J^2
-    assert pair_proximity_bound(b, 1e9) == pytest.approx(25.0)
-
-
-def test_pair_proximity_bound_validation():
-    b = build_basis(4)
-    with pytest.raises(ValueError):
-        pair_proximity_bound(b, 0.0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from polymerlab.increments import (increment_mean_and_variance,
-                                   min_variance_by_distance,
                                    monte_carlo_increment_check,
                                    scan_distances, variance_scaling_scan)
 from polymerlab.spectral import Convention, build_basis
@@ -88,18 +87,6 @@ def test_doubling_width_doubles_paper_variance_within_quarter():
                 ratio = rows[(2 * J, d)] / rows[(J, d)]
                 worst = max(worst, abs(ratio - 2.0) / 2.0)
     assert worst <= 0.2501
-
-
-def test_min_variance_by_distance():
-    b = build_basis(8)
-    for conv in (Convention.LITERAL, Convention.PAPER):
-        mv = min_variance_by_distance(b, conv)
-        assert mv[0] == 0.0
-        for d in range(1, 8):
-            best = min(increment_mean_and_variance(b, i, i + d,
-                                                   conv).variance
-                       for i in range(8 - d))
-            assert mv[d] == pytest.approx(best, rel=1e-12)
 
 
 def test_scan_rejects_tiny_widths():

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymerlab.dynamics import sample_noise, simulate_recursion
-from polymerlab.observables import (intersection_counts_batch,
+from polymerlab.observables import (_BROADCAST_BLOCK,
+                                    intersection_counts_batch,
                                     local_inequality_check,
                                     occupancy_histogram, radius_of_gyration,
                                     self_intersection_count)
@@ -35,7 +36,7 @@ def test_count_constant_row_is_square():
     assert self_intersection_count(row, 0, 0.5) == 49
     # past the broadcast limit the lag scan must run to lag J - 1
     for J in (1, 2, 7, 64, 130):
-        rows = np.zeros(((1 << 16) // (J * J) + 1, J))
+        rows = np.zeros((_BROADCAST_BLOCK // (J * J) + 1, J))
         counts = intersection_counts_batch(rows, 0.5)
         assert counts.tolist() == [J * J] * len(rows)
 
@@ -73,14 +74,14 @@ def test_count_sorted_equals_brute(grid_values, grid_eps):
 
 
 # widths 1-24, 33-64 and 65-130 with batches on both sides of the one-call
-# broadcast limit, 2^16 // J^2 rows (65536 at J = 1, 16 at J = 64, 3 at
-# J = 130), so both the broadcast and the lag scan see every width.  Small
-# batches are drawn as hypothesis lists on the dyadic lattice; large ones
-# come from a numpy generator seeded by hypothesis, either on the lattice
-# (multiples of the grid eps plus an offset of -1, 0 or 1, so many pairs lie
-# exactly eps apart) or off it (scaled standard normals, half the sites
-# shifted by eps from another site, so many differences round to either
-# side of eps)
+# broadcast limit, _BROADCAST_BLOCK // J^2 rows (32768 at J = 1, 8 at
+# J = 64, 1 at J = 130), so both the broadcast and the lag scan see every
+# width.  Small batches are drawn as hypothesis lists on the dyadic
+# lattice; large ones come from a numpy generator seeded by hypothesis,
+# either on the lattice (multiples of the grid eps plus an offset of -1, 0
+# or 1, so many pairs lie exactly eps apart) or off it (scaled standard
+# normals, half the sites shifted by eps from another site, so many
+# differences round to either side of eps)
 @settings(max_examples=240, deadline=None)
 @given(st.one_of(st.integers(1, 24), st.integers(33, 64),
                  st.integers(65, 130)),
@@ -94,7 +95,8 @@ def test_batch_counts_equal_brute_both_paths(J, grid_eps, kind, data):
                                   min_size=k * J, max_size=k * J))
         rows = np.array(grid, dtype=float).reshape(k, J) / 1024.0
     else:
-        k = data.draw(st.integers(1, 2 * ((1 << 16) // (J * J)) + 1))
+        top = 2 * (_BROADCAST_BLOCK // (J * J)) + 1
+        k = data.draw(st.integers(1, top))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         if kind == "grid":
             grid = (grid_eps * rng.integers(-4, 5, (k, J))

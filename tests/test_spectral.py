@@ -86,13 +86,6 @@ def test_kernel_rows_sum_to_one():
     assert np.allclose(G, G.T, atol=1e-12)
 
 
-def test_kernel_scalar_entry_matches_matrix():
-    b = build_basis(6)
-    G = green_function(b, 4)
-    assert green_function(b, 4, n=2, k=5) == pytest.approx(G[2, 5],
-                                                           abs=1e-14)
-
-
 def test_kernel_general_kappa():
     b = build_basis(7, kappa=0.25)
     G = green_function(b, 6)
