@@ -100,15 +100,17 @@ def rate_function(params: AR1Params, x):
         I(x) = -1/2 ln(2x / (1 + sqrt(4 rho^2 x^2 + 1)))
                + 1/2 [(rho^2 + 1) x - sqrt(4 rho^2 x^2 + 1)]
 
-    +inf for x <= 0; general variance by I(x / sigma2).  Vanishes
-    exactly at the stationary mean.
+    +inf for x <= 0 and at x = +inf; general variance by I(x / sigma2).
+    Vanishes exactly at the stationary mean.  A nan x raises ValueError.
     """
     _check_positive_sigma(params)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xs = np.atleast_1d(x) / params.sigma2
+    if np.isnan(xs).any():
+        raise ValueError("rate_function is undefined at x = nan")
     out = np.full(xs.shape, np.inf)
-    pos = xs > 0.0
+    pos = (xs > 0.0) & (xs < np.inf)
     xp = xs[pos]
     root = np.sqrt(4.0 * params.rho ** 2 * xp ** 2 + 1.0)
     out[pos] = (-0.5 * np.log(2.0 * xp / (1.0 + root))

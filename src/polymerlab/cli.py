@@ -143,8 +143,11 @@ def _cmd_gibbs(cfg, args) -> int:
 
 def _cmd_ldp(cfg, args) -> int:
     params = AR1Params(rho=args.rho, sigma2=args.sigma2)
+    xs = _parse_list(args.x, float)
+    if not np.isfinite(xs).all():
+        raise ConfigError(f"--x values must be finite, got {args.x!r}")
     rows = []
-    for x in _parse_list(args.x, float):
+    for x in xs:
         rows.append({"rho": params.rho, "sigma2": params.sigma2,
                      "x_or_K": quantize12(x),
                      "value": quantize12(rate_function(params, x))})

@@ -96,10 +96,10 @@ class StudyConfig:
             raise ConfigError("T_list entries must be positive")
         if not 0.0 < self.kappa <= 0.5:
             raise ConfigError("kappa must lie in (0, 1/2]")
-        if self.beta < 0.0:
-            raise ConfigError("beta must be nonnegative")
-        if self.epsilon <= 0.0:
-            raise ConfigError("epsilon must be positive")
+        if not 0.0 <= self.beta < np.inf:
+            raise ConfigError("beta must be finite and nonnegative")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigError("epsilon must be finite and positive")
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"sampler must be one of {SAMPLERS}")
         if self.seed < 0:

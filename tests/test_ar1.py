@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -109,6 +111,17 @@ def test_rate_nonpositive_is_infinite():
     assert rate_function(p, -3.0) == np.inf
     vals = rate_function(p, np.array([-1.0, 1.0]))
     assert np.isinf(vals[0]) and np.isfinite(vals[1])
+
+
+def test_rate_at_infinity_is_infinite_and_nan_raises():
+    p = AR1Params(rho=0.6, sigma2=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rate_function(p, np.inf) == np.inf
+        assert rate_function(p, np.array([1.0, np.inf]))[1] == np.inf
+    for x in (np.nan, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="nan"):
+            rate_function(p, x)
 
 
 def test_rate_degenerate_sigma_raises():

@@ -166,7 +166,10 @@ def test_missing_config_exits_two(capsys):
 
 
 def test_bad_flag_value_exits_two(capsys):
-    for argv in (("scaling", "--J", "4,eight"), ("ldp", "--x", "1,abc")):
+    gibbs = ("gibbs", "--T", "4", "--replicates", "10")
+    for argv in (("scaling", "--J", "4,eight"), ("ldp", "--x", "1,abc"),
+                 gibbs + ("--epsilon", "nan"), gibbs + ("--beta", "inf"),
+                 ("ldp", "--x=-1,inf"), ("ldp", "--x", "nan")):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "configuration error" in err

@@ -75,7 +75,9 @@ def test_config_validation():
     for kw in ({"kappa": 0.7}, {"beta": -0.1}, {"epsilon": 0.0},
                {"J_list": ()}, {"J_list": (1, 4)}, {"T": 0},
                {"sampler": "bogus"}, {"replicates": 0},
-               {"T_list": (0, 4)}, {"ess_floor": 0.0}):
+               {"T_list": (0, 4)}, {"ess_floor": 0.0},
+               {"beta": np.inf}, {"beta": np.nan}, {"epsilon": np.inf},
+               {"epsilon": np.nan}):
         with pytest.raises(ConfigError):
             StudyConfig(**kw)
 

@@ -5,7 +5,8 @@ from scipy.stats import norm
 
 from polymerlab.dynamics import counter_rng
 from polymerlab.experiments import scaling_exact_r2
-from polymerlab.gibbs import (SamplerDegeneracyError, WeightedEnsemble,
+from polymerlab.gibbs import (_MASK_MACS, SamplerDegeneracyError,
+                              WeightedEnsemble, _NoiseChain,
                               estimate_measure, jensen_lower_bound,
                               logsumexp, metropolis_accept,
                               metropolis_sampler, sample_ensemble,
@@ -234,6 +235,62 @@ def test_metropolis_two_site_matches_closed_form():
                              burnin=100)
     near = (ens.obs["N_sum"] == 4).mean()
     assert near == pytest.approx(q_near, abs=0.03)
+
+
+# one width on each side of the mask bound (J = 8, T = 12 keeps the
+# near-pair mask, J = 40, T = 40 per-row counts), plus a three-site chain:
+# after every sweep the stored pair state must give, row by row, the
+# counter's count of the current rows, accepted tails and all
+@pytest.mark.parametrize("J, T, mask", [(3, 6, True), (8, 12, True),
+                                        (40, 40, False)])
+@pytest.mark.parametrize("init", ["zero", "stationary"])
+@pytest.mark.parametrize("conv", list(Convention))
+def test_chain_pair_state_matches_counter(J, T, mask, init, conv):
+    assert (T * J * J * (J - 1) // 2 <= _MASK_MACS) == mask
+    chain = _NoiseChain(build_basis(J), T, 2.0 / J, 0.5, counter_rng(5, 2),
+                        init, conv)
+    assert (chain.pairs.dtype == bool) == mask
+    accepted = 0
+    for _ in range(4):
+        accepted += chain.sweep(0.7)
+        rows = [chain._total(chain.pairs[t:t + 1]) for t in range(T)]
+        assert rows == intersection_counts_batch(chain.u, 0.5).tolist()
+        assert chain.pair_total() == sum(rows)
+    assert 0 < accepted < 4 * (2 * T + (init == "stationary"))
+
+
+# N_sum, acceptance rate and R of short chains, recorded before the chain
+# kept its pair state as a near-pair mask.  J = 2, 8 and 32 (T = 32) run
+# on the mask, J = 40 at T = 40 on per-row counts; every figure must be
+# reproduced exactly
+@pytest.mark.parametrize("J, T, beta, n, seed, init, conv, n_sum, rate, R", [
+    (2, 3, 0.3, 5, 4, "zero", "LITERAL", [6, 8, 6, 8, 8],
+     0.9358974358974359,
+     [0.7248200313749732, 0.2952886994081083, 0.4641492445837129,
+      0.3647037467852565, 0.5164464033610635]),
+    (8, 6, 0.05, 5, 11, "stationary", "LITERAL", [96, 84, 102, 106, 80],
+     0.9112426035502958,
+     [1.5010666819045964, 1.7922045116590024, 1.3642363054225317,
+      1.4470097967477091, 2.155484159767981]),
+    (8, 5, 0.1, 4, 12, "zero", "PAPER", [76, 66, 62, 60],
+     0.8181818181818182,
+     [1.8112200290758933, 2.446493819216953, 2.9500391631961347,
+      2.2011590377085644]),
+    (32, 32, 0.02, 3, 14, "stationary", "LITERAL", [2482, 2398, 2254],
+     0.8188034188034188,
+     [5.517190702480038, 7.111772036852506, 7.341351892076564]),
+    (40, 40, 0.02, 3, 13, "stationary", "PAPER", [2542, 2462, 2396],
+     0.803840877914952,
+     [18.251209870434586, 20.505108973134888, 22.13006147886572]),
+])
+def test_metropolis_output_is_pinned(J, T, beta, n, seed, init, conv,
+                                     n_sum, rate, R):
+    ens = metropolis_sampler(build_basis(J), T, beta, 0.5, n, seed=seed,
+                             thin=2, burnin=3, init=init,
+                             conv=Convention[conv])
+    assert ens.obs["N_sum"].tolist() == n_sum
+    assert ens.diagnostics["acceptance_rate"] == rate
+    assert ens.obs["R"].tolist() == R
 
 
 def test_metropolis_stationary_init_runs():

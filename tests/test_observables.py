@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from polymerlab.dynamics import sample_noise, simulate_recursion
 from polymerlab.observables import (_BROADCAST_BLOCK,
                                     intersection_counts_batch,
-                                    local_inequality_check,
+                                    local_inequality_check, near_pairs,
                                     occupancy_histogram, radius_of_gyration,
                                     self_intersection_count)
 
@@ -127,6 +127,56 @@ def test_rounded_and_non_finite_rows_count_like_the_oracle(row, eps, expect):
         assert intersection_counts_batch(rows, eps).tolist() == [expect] * 16
 
 
+def _check_near_pairs(rows, eps):
+    """near_pairs against direct subtraction, pair by pair, and its count
+    against the counter and the broadcast oracle."""
+    J = rows.shape[-1]
+    i, j = np.triu_indices(J, 1)
+    mask = near_pairs(rows, eps)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, np.abs(rows[..., i] - rows[..., j]) <= eps)
+    counts = (J + 2 * mask.sum(axis=-1)).tolist()
+    assert counts == intersection_counts_batch(rows, eps).tolist()
+    assert counts == self_intersection_count_brute(rows, eps).tolist()
+
+
+# widths 1-40 in three kinds of rows: the dyadic lattice (many pairs
+# exactly eps apart), scaled normals with half the sites moved to another
+# site plus eps (differences that round to either side of eps), and the
+# same around row offsets of size ~1e6, where sites are spaced 1.2e-10
+# apart and every site plus eps rounds
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 10240),
+       st.sampled_from(("grid", "normal", "large")), st.data())
+def test_near_pairs_equal_brute(J, grid_eps, kind, data):
+    eps = grid_eps / 1024.0
+    k = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "grid":
+        rows = (grid_eps * rng.integers(-4, 5, (k, J))
+                + rng.integers(-1, 2, (k, J))) / 1024.0
+    else:
+        rows = rng.standard_normal((k, J)) * eps * rng.uniform(0.5, 8.0)
+        if kind == "large":
+            rows += 1e6 * rng.standard_normal((k, 1))
+        half = rng.random(J) < 0.5
+        rows[:, half] = rows[:, rng.integers(0, J, half.sum())] + eps
+    _check_near_pairs(rows, eps)
+
+
+def test_near_pairs_rounding_row_and_shapes():
+    # fl(0.30000000000000004 - 0.1) = 0.20000000000000004 > 0.2
+    row = np.concatenate(([0.1, 0.30000000000000004],
+                          10.0 * np.arange(1, 39)))
+    assert not near_pairs(row, 0.2).any()
+    _check_near_pairs(row[None], 0.2)
+    assert near_pairs(row, 0.20000000000000004)[0]
+    rows = np.random.default_rng(4).normal(size=(2, 3, 6))
+    assert near_pairs(rows, 0.5).shape == (2, 3, 15)
+    assert near_pairs(np.zeros(1), 0.5).shape == (0,)
+    assert near_pairs(np.zeros(5), 0.5).all()
+
+
 def test_batch_counts_keep_leading_shape_across_blocks():
     rows = np.random.default_rng(2).normal(size=(3, 25, 48))
     counts = intersection_counts_batch(rows, 0.3)
@@ -177,3 +227,8 @@ def test_epsilon_validation():
         self_intersection_count(np.zeros(3), 0, 0.0)
     with pytest.raises(ValueError):
         intersection_counts_batch(np.zeros((2, 3)), -1.0)
+    # a nan eps compares false with everything: raise, do not count nothing
+    for count in (intersection_counts_batch, near_pairs):
+        for eps in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                count(np.zeros((2, 3)), eps)
