@@ -218,12 +218,6 @@ def jensen_lower_bound(basis: Basis, T: int, beta: float, epsilon: float,
             "ess": est["ess"], "stationary_mean_pairs": en}
 
 
-# widest full-tail pair-difference product, in multiply-adds, for which a
-# chain keeps the near-pair mask: up to T = 33 at J = 32, T = 273 at J = 16,
-# T = 2340 at J = 8 (see _NoiseChain)
-_MASK_MACS = 1 << 19
-
-
 def metropolis_accept(rng: np.random.Generator, delta_log: float) -> bool:
     """Accept with probability min(1, exp(delta_log))."""
     if delta_log >= 0:
@@ -245,38 +239,20 @@ class _NoiseChain:
     mode trajectory is rebuilt from the white state at every recorded
     sample so incremental float drift cannot accumulate.
 
-    A proposal compares pair states of the rows u (times 1..T): `pairs`
-    holds, per row, either the near-pair mask of observables.near_pairs
-    or the near-pair count, and `_total` turns a block of it into the
-    total count N, diagonal included.  A tail update of rows s.. has log
-    ratio -beta * (N(new rows) - N(pairs[s:])), which on the mask is
-    -2 beta (count_nonzero(new) - count_nonzero(old)).
-    The mask's pair differences are exactly the rounded u_i - u_j that
-    the counter compares, and the rows are always finite, so both states
-    give the same integers and the chain the same bits.
-
-    The mask's product costs O(J^3) per row against the counter's
-    O(J^2), and OpenBLAS runs the larger products on both cores, so a
-    chain keeps the mask only while its widest product, the full tail of
-    T * J * J(J-1)/2 multiply-adds, is at most _MASK_MACS; the choice is
-    made once, here.  Per sweep in ms, best of 3, one process per entry,
-    on a 2-core Xeon with OpenBLAS 0.3.31, stationary start, LITERAL,
-    beta = 0.02, eps = 0.5 (CPU ms in brackets where it exceeds wall):
-
-         J    T   multiply-adds    mask         counts
-         8   32          7 168      1.0          1.5
-         8  256         57 344     17           30
-        16  256        491 520     27           60
-        32   32        507 904      2.3          5.5
-        32   64      1 015 808      7.8 (16)    14
-        64    8      1 032 192      1.0 (2.4)    1.2
-        64   32      4 128 768     16 (32)       7.4
+    The pair state is the near-pair mask of the rows u (times 1..T), from
+    observables.near_pairs.  A row's near-pair count is J + 2 * (its mask
+    sum), so a tail update of rows s.. has log ratio
+    -beta * 2 * (count_nonzero(new mask) - count_nonzero(near[s:])),
+    and no per-row sum is taken.  The mask compares the same rounded
+    differences as intersection_counts_batch on the always finite rows,
+    so the chain's draws and decisions are those of a per-row count.
     """
 
     def __init__(self, basis, T, beta, epsilon, rng, init, conv):
         self.basis = basis
         self.T = T
         self.beta = beta
+        self.epsilon = epsilon
         self.rng = rng
         self.rho = basis.rho[1:]
         self.sig = mode_innovation_std(basis, conv)[1:]
@@ -288,16 +264,8 @@ class _NoiseChain:
             self.x0_scale = np.zeros(basis.J - 1)
         else:
             raise ValueError(f"unknown init {init!r}")
-        J = basis.J
-        if T * J * J * (J - 1) // 2 <= _MASK_MACS:
-            self._pairs = lambda u: near_pairs(u, epsilon)
-            self._total = lambda near: (len(near) * J
-                                        + 2 * np.count_nonzero(near))
-        else:
-            self._pairs = lambda u: intersection_counts_batch(u, epsilon)
-            self._total = lambda counts: int(counts.sum())
-        self.w0 = rng.standard_normal(J - 1)
-        self.xi = rng.standard_normal((T, J))
+        self.w0 = rng.standard_normal(basis.J - 1)
+        self.xi = rng.standard_normal((T, basis.J))
         # rho^k rows for k = 0..T, shared by every tail update
         self.rho_pow = self.rho[None, :] ** np.arange(T + 1)[:, None]
         self._rebuild()
@@ -311,11 +279,7 @@ class _NoiseChain:
             X[t + 1] = self.rho * X[t] + self.sig * xim[t]
         self.X = X
         self.u = X[1:] @ self.e1
-        self.pairs = self._pairs(self.u)
-
-    def pair_total(self) -> int:
-        """Near-pair count summed over the rows u (times 1..T)."""
-        return self._total(self.pairs)
+        self.near = near_pairs(self.u, self.epsilon)
 
     def _try_tail(self, s, delta_modes):
         """Accept/reject a change of the innovation modes of row s by
@@ -323,14 +287,14 @@ class _NoiseChain:
         shift = self.rho_pow[:self.T - s] * (self.sig * delta_modes)
         new_X = self.X[s + 1:] + shift
         new_u = new_X @ self.e1
-        new_pairs = self._pairs(new_u)
-        d_log = -self.beta * float(self._total(new_pairs)
-                                   - self._total(self.pairs[s:]))
+        new_near = near_pairs(new_u, self.epsilon)
+        d_log = -self.beta * float(2 * (np.count_nonzero(new_near)
+                                        - np.count_nonzero(self.near[s:])))
         if not metropolis_accept(self.rng, d_log):
             return False
         self.X[s + 1:] = new_X
         self.u[s:] = new_u
-        self.pairs[s:] = new_pairs
+        self.near[s:] = new_near
         return True
 
     def row_move(self, s, scale):
@@ -360,31 +324,17 @@ class _NoiseChain:
         shift = self.rho_pow[1:self.T + 1] * delta0
         new_X = self.X[1:] + shift
         new_u = new_X @ self.e1
-        new_pairs = self._pairs(new_u)
-        d_log = -self.beta * float(self._total(new_pairs)
-                                   - self._total(self.pairs))
+        new_near = near_pairs(new_u, self.epsilon)
+        d_log = -self.beta * float(2 * (np.count_nonzero(new_near)
+                                        - np.count_nonzero(self.near)))
         if not metropolis_accept(self.rng, d_log):
             return False
         self.w0 = new_w0
         self.X[0] = new_w0 * self.x0_scale
         self.X[1:] = new_X
         self.u = new_u
-        self.pairs = new_pairs
+        self.near = new_near
         return True
-
-    def sweep(self, scale) -> int:
-        """One systematic scan: a row proposal and a single-entry proposal
-        at a random site for every row, then, under stationary
-        initialization, one initial-vector proposal.  Returns the number
-        accepted."""
-        accepted = 0
-        for s in range(self.T):
-            accepted += self.row_move(s, scale)
-            accepted += self.entry_move(
-                s, int(self.rng.integers(self.basis.J)), scale)
-        if self.init == "stationary":
-            accepted += self.init_move(scale)
-        return accepted
 
 
 def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,
@@ -404,21 +354,30 @@ def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,
     """
     if not (0.0 < proposal_scale <= 1.0):
         raise ValueError("proposal scale must lie in (0, 1]")
-    chain = _NoiseChain(basis, T, beta, epsilon, counter_rng(seed, 2),
-                        init, conv)
+    J = basis.J
+    rng = counter_rng(seed, 2)
+    chain = _NoiseChain(basis, T, beta, epsilon, rng, init, conv)
     accepted = 0
+    proposed = 0
     Rs = np.empty(n_samples)
     Ns = np.empty(n_samples, dtype=np.int64)
     sweeps = burnin + n_samples * thin
     k = 0
     for sweep in range(sweeps):
-        accepted += chain.sweep(proposal_scale)
+        for s in range(T):
+            accepted += chain.row_move(s, proposal_scale)
+            accepted += chain.entry_move(s, int(rng.integers(J)),
+                                         proposal_scale)
+            proposed += 2
+        if init == "stationary":
+            accepted += chain.init_move(proposal_scale)
+            proposed += 1
         if sweep >= burnin and (sweep - burnin) % thin == thin - 1:
             Rs[k] = np.sqrt(np.mean(chain.u ** 2))
-            Ns[k] = chain.pair_total()
+            Ns[k] = T * J + 2 * np.count_nonzero(chain.near)
             k += 1
             chain._rebuild()
-    rate = accepted / (sweeps * (2 * T + (init == "stationary")))
+    rate = accepted / proposed
     if not (0.05 <= rate <= 0.95) and beta > 0:
         warnings.warn(f"Metropolis acceptance rate {rate:.3f} outside "
                       f"[0.05, 0.95]; retune proposal_scale", RuntimeWarning)
@@ -426,7 +385,7 @@ def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,
                             log_weights=np.zeros(k), beta=beta,
                             epsilon=epsilon,
                             base_measure=f"Q_T(metropolis,{init})",
-                            J=basis.J, T=T,
+                            J=J, T=T,
                             diagnostics={"acceptance_rate": rate,
                                          "sweeps": sweeps, "thin": thin,
                                          "burnin": burnin})

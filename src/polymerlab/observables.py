@@ -45,11 +45,12 @@ _BROADCAST_BLOCK = 1 << 15
 def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
     """Number of ordered site pairs (i, j), diagonal included, with
     |u_i - u_j| <= epsilon, for a batch of configurations: shape
-    (..., J) -> (...).  This is the library's only pair counter.
+    (..., J) -> (...).  This is the library's pair counter; the Metropolis
+    chain keeps the masks of near_pairs instead, which give the same
+    counts.
 
-    A batch of at most _BROADCAST_BLOCK pair comparisons (rows.size * J),
-    such as a Metropolis tail update of at most 8 rows at J = 64, is one
-    broadcast call.  Larger ones sort each row and scan lags k = 1, 2,
+    A batch of at most _BROADCAST_BLOCK pair comparisons (rows.size * J)
+    is one broadcast call.  Larger ones sort each row and scan lags k = 1, 2,
     ...: each near pair x[i+k] - x[i] <= eps counts twice on top of the
     diagonal pairs.  In a sorted row that difference only grows with k,
     rounded or not, so a row with no near pair at lag k is dropped; the
@@ -90,47 +91,88 @@ def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
     return out.reshape(rows.shape[:-1])
 
 
+# near_pairs takes the pair differences as one product rows @ D while the
+# rows are at most _PRODUCT_WIDTH wide (D at most 127 kB) and the product
+# has at most _PRODUCT_MACS multiply-adds, which OpenBLAS keeps on one
+# thread; T = 33 rows at J = 32, 273 at J = 16, 2340 at J = 8
+_PRODUCT_WIDTH = 32
+_PRODUCT_MACS = 1 << 19
+
+
+@cache
+def _pair_index(J: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sites (i, j) of near_pairs' columns: (i, (i + k) mod J) for the
+    cyclic lags k = 1..(J-1)//2 and i = 0..J-1, then, for even J,
+    (i, i + J/2) for i < J/2.  Each unordered pair appears once."""
+    K = (J - 1) // 2
+    i = np.tile(np.arange(J), K)
+    j = (i + np.repeat(np.arange(1, K + 1), J)) % J
+    if J % 2 == 0:
+        h = np.arange(J // 2)
+        i, j = np.concatenate([i, h]), np.concatenate([j, h + J // 2])
+    return i, j
+
+
 @cache
 def _pair_difference(J: int) -> np.ndarray:
-    """Read-only (J, J(J-1)/2) matrix whose column for the pair i < j
-    (np.triu_indices order) is e_i - e_j."""
-    i, j = np.triu_indices(J, 1)
+    """Read-only (J, J(J-1)/2) matrix whose column for the pair (i, j) of
+    _pair_index is e_j - e_i."""
+    i, j = _pair_index(J)
     D = np.zeros((J, i.size))
-    D[i, np.arange(i.size)] = 1.0
-    D[j, np.arange(i.size)] = -1.0
+    D[j, np.arange(i.size)] = 1.0
+    D[i, np.arange(i.size)] = -1.0
     D.setflags(write=False)
     return D
 
 
 def near_pairs(rows: np.ndarray, epsilon: float) -> np.ndarray:
-    """Mask of the site pairs i < j with |u_i - u_j| <= epsilon, pairs in
-    np.triu_indices order: shape (..., J) -> (..., J(J-1)/2).  For finite
-    rows, J + 2 * (mask row sum) is intersection_counts_batch's count.
+    """Mask of the site pairs with |u_i - u_j| <= epsilon, one column per
+    unordered pair i != j in _pair_index order: shape (..., J) ->
+    (..., J(J-1)/2).  For finite rows, J + 2 * (mask row sum) is
+    intersection_counts_batch's count.
 
-    The differences are one product rows @ D with the +-1 pair-difference
-    matrix D.  Each column of D has one +1 and one -1, so in any summation
-    order or blocking every other term is an exact zero and the entry is
-    the one rounded subtraction u_i - u_j, the value the broadcast
-    compares.  Precondition: finite rows; an infinite or nan site makes
-    0 * inf = nan poison every pair of its row.
+    Every entry compares the one rounded subtraction u_j - u_i, the value
+    the counter compares.  Small batches of narrow rows take all
+    differences as one product rows @ D with the pair-difference matrix
+    D: each column of D has one +1 and one -1, so in any summation order
+    every other term is an exact zero.  Precondition: finite rows; an
+    infinite or nan site makes 0 * inf = nan poison every pair of its row.
+    Other batches subtract each row from its cyclic shifts in one call.
 
-    The product costs O(J^3) per row against the counter's O(J^2), so
-    the mask pays only for narrow rows.  Per call in us, best of 5 of two
-    runs on a 2-core Xeon with numpy 2.4 and OpenBLAS 0.3.31, normal rows
-    of scale sqrt(J)/3, eps = 0.5; count_nonzero of the mask against
-    intersection_counts_batch(...).sum() (*: OpenBLAS ran the product on
-    both cores, CPU about twice the wall time):
+    Per call in us, product / shifts, count_nonzero included, best of 5
+    on a 2-core Xeon with numpy 2.4 and OpenBLAS 0.3.31 (*: OpenBLAS ran
+    the product on both cores, at about twice the CPU):
 
-        rows      J = 8       J = 16      J = 32       J = 64
-           1     2.7 / 10    2.8 / 8.4   4.3 / 7.3    22 / 13
-           8     2.9 / 12    4.0 / 16    8.0 / 21     69 / 62
-          64     4.4 / 26    10 / 45     61 / 139     872* / 175
-         256     9.9 / 71    28 / 174    834* / 258   3662* / 479
+        rows     J = 8       J = 32        J = 48         J = 64
+           1     5.3 / 20    6.9 / 16      13 / 16        25 / 15
+          16     6.2 / 24    19 / 33       39 / 52        89 / 96
+          33     4.3 / 18    32 / 50       86 / 97        177 / 159
+         129     6.9 / 34    450* / 166    1232* / 370    2255* / 672
+
+    The product is O(J^3) per row against the shifts' O(J^2); at J = 64
+    both lose to the counter's lag scan on spread rows, which stops at
+    the first lag without a near pair.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     rows = np.asarray(rows, dtype=float)
-    return np.abs(rows @ _pair_difference(rows.shape[-1])) <= epsilon
+    J = rows.shape[-1]
+    if J <= _PRODUCT_WIDTH and rows.size * J * (J - 1) // 2 <= _PRODUCT_MACS:
+        return np.abs(rows @ _pair_difference(J)) <= epsilon
+    K, lead = (J - 1) // 2, rows.shape[:-1]
+    diff = np.empty(lead + (J * (J - 1) // 2,))
+    # shifts[..., k-1, i] = u[(i + k) mod J] for k = 1..K, a strided view
+    wrapped = np.concatenate([rows, rows[..., :K]], axis=-1)
+    step = wrapped.strides[-1]
+    shifts = np.lib.stride_tricks.as_strided(
+        wrapped[..., 1:], lead + (K, J), wrapped.strides[:-1] + (step, step),
+        writeable=False)
+    np.subtract(shifts, rows[..., None, :],
+                out=diff[..., :K * J].reshape(lead + (K, J)))
+    if J % 2 == 0:
+        np.subtract(rows[..., J // 2:], rows[..., :J // 2],
+                    out=diff[..., K * J:])
+    return np.abs(diff, out=diff) <= epsilon
 
 
 def self_intersection_count(traj, t=0, epsilon: float = None) -> int:

@@ -5,12 +5,13 @@ from scipy.stats import norm
 
 from polymerlab.dynamics import counter_rng
 from polymerlab.experiments import scaling_exact_r2
-from polymerlab.gibbs import (_MASK_MACS, SamplerDegeneracyError,
-                              WeightedEnsemble, _NoiseChain,
+from polymerlab.gibbs import (SamplerDegeneracyError, WeightedEnsemble,
+                              _NoiseChain,
                               estimate_measure, jensen_lower_bound,
                               logsumexp, metropolis_accept,
                               metropolis_sampler, sample_ensemble,
                               sample_measure)
+from polymerlab import observables
 from polymerlab.observables import intersection_counts_batch
 from polymerlab.spectral import Convention, build_basis
 
@@ -237,32 +238,41 @@ def test_metropolis_two_site_matches_closed_form():
     assert near == pytest.approx(q_near, abs=0.03)
 
 
-# one width on each side of the mask bound (J = 8, T = 12 keeps the
-# near-pair mask, J = 40, T = 40 per-row counts), plus a three-site chain:
-# after every sweep the stored pair state must give, row by row, the
-# counter's count of the current rows, accepted tails and all
-@pytest.mark.parametrize("J, T, mask", [(3, 6, True), (8, 12, True),
-                                        (40, 40, False)])
+# near_pairs takes the product for every call of the J = 3 and J = 8
+# chains, the cyclic shifts for every call at J = 40, and both at J = 32,
+# T = 40 (tails of at most 33 rows on the product): after every sweep the
+# stored mask must give, row by row, the counter's count of the current
+# rows, accepted tails and all
+@pytest.mark.parametrize("J, T, product, shifts", [
+    (3, 6, True, False), (8, 12, True, False), (32, 40, True, True),
+    (40, 8, False, True)])
 @pytest.mark.parametrize("init", ["zero", "stationary"])
 @pytest.mark.parametrize("conv", list(Convention))
-def test_chain_pair_state_matches_counter(J, T, mask, init, conv):
-    assert (T * J * J * (J - 1) // 2 <= _MASK_MACS) == mask
+def test_chain_pair_state_matches_counter(J, T, product, shifts, init, conv):
+    def on_product(rows):
+        return (J <= observables._PRODUCT_WIDTH and rows * J * J * (J - 1) // 2
+                <= observables._PRODUCT_MACS)
+    assert (on_product(1), not on_product(T)) == (product, shifts)
     chain = _NoiseChain(build_basis(J), T, 2.0 / J, 0.5, counter_rng(5, 2),
                         init, conv)
-    assert (chain.pairs.dtype == bool) == mask
     accepted = 0
     for _ in range(4):
-        accepted += chain.sweep(0.7)
-        rows = [chain._total(chain.pairs[t:t + 1]) for t in range(T)]
-        assert rows == intersection_counts_batch(chain.u, 0.5).tolist()
-        assert chain.pair_total() == sum(rows)
+        for s in range(T):
+            accepted += chain.row_move(s, 0.7)
+            accepted += chain.entry_move(s, int(chain.rng.integers(J)), 0.7)
+        if init == "stationary":
+            accepted += chain.init_move(0.7)
+        counts = J + 2 * chain.near.sum(axis=1)
+        assert counts.tolist() == intersection_counts_batch(chain.u,
+                                                            0.5).tolist()
     assert 0 < accepted < 4 * (2 * T + (init == "stationary"))
 
 
-# N_sum, acceptance rate and R of short chains, recorded before the chain
-# kept its pair state as a near-pair mask.  J = 2, 8 and 32 (T = 32) run
-# on the mask, J = 40 at T = 40 on per-row counts; every figure must be
-# reproduced exactly
+# N_sum, acceptance rate and R of short chains, recorded while the chain
+# kept per-row pair counts.  J = 2, 8 and 32 (T = 32) take near_pairs'
+# product, J = 40 its cyclic shifts.  The integers and the rate must be
+# reproduced exactly; R goes through BLAS (X @ e1), whose last bits may
+# differ between hosts
 @pytest.mark.parametrize("J, T, beta, n, seed, init, conv, n_sum, rate, R", [
     (2, 3, 0.3, 5, 4, "zero", "LITERAL", [6, 8, 6, 8, 8],
      0.9358974358974359,
@@ -290,7 +300,7 @@ def test_metropolis_output_is_pinned(J, T, beta, n, seed, init, conv,
                              conv=Convention[conv])
     assert ens.obs["N_sum"].tolist() == n_sum
     assert ens.diagnostics["acceptance_rate"] == rate
-    assert ens.obs["R"].tolist() == R
+    assert ens.obs["R"].tolist() == pytest.approx(R, rel=1e-12)
 
 
 def test_metropolis_stationary_init_runs():

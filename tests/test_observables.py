@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polymerlab import observables
 from polymerlab.dynamics import sample_noise, simulate_recursion
-from polymerlab.observables import (_BROADCAST_BLOCK,
+from polymerlab.observables import (_BROADCAST_BLOCK, _pair_index,
                                     intersection_counts_batch,
                                     local_inequality_check, near_pairs,
                                     occupancy_histogram, radius_of_gyration,
@@ -128,13 +131,17 @@ def test_rounded_and_non_finite_rows_count_like_the_oracle(row, eps, expect):
 
 
 def _check_near_pairs(rows, eps):
-    """near_pairs against direct subtraction, pair by pair, and its count
-    against the counter and the broadcast oracle."""
+    """near_pairs against direct subtraction, pair by pair, on both of its
+    paths, and its count against the counter and the broadcast oracle."""
     J = rows.shape[-1]
-    i, j = np.triu_indices(J, 1)
+    i, j = _pair_index(J)
     mask = near_pairs(rows, eps)
     assert mask.dtype == bool
-    assert np.array_equal(mask, np.abs(rows[..., i] - rows[..., j]) <= eps)
+    assert np.array_equal(mask, np.abs(rows[..., j] - rows[..., i]) <= eps)
+    for width, macs in ((0, 0), (J, 1 << 40)):   # shifts only, product only
+        with mock.patch.multiple(observables, _PRODUCT_WIDTH=width,
+                                 _PRODUCT_MACS=macs):
+            assert np.array_equal(near_pairs(rows, eps), mask)
     counts = (J + 2 * mask.sum(axis=-1)).tolist()
     assert counts == intersection_counts_batch(rows, eps).tolist()
     assert counts == self_intersection_count_brute(rows, eps).tolist()
@@ -162,6 +169,13 @@ def test_near_pairs_equal_brute(J, grid_eps, kind, data):
         half = rng.random(J) < 0.5
         rows[:, half] = rows[:, rng.integers(0, J, half.sum())] + eps
     _check_near_pairs(rows, eps)
+
+
+@pytest.mark.parametrize("J", [0, 1, 2, 3, 4, 7, 8, 33, 64])
+def test_pair_index_lists_each_pair_once(J):
+    i, j = _pair_index(J)
+    pairs = sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    assert pairs == [(a, b) for a in range(J) for b in range(a + 1, J)]
 
 
 def test_near_pairs_rounding_row_and_shapes():
