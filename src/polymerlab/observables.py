@@ -49,13 +49,13 @@ def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
     chain keeps the masks of near_pairs instead, which give the same
     counts.
 
-    A batch of at most _BROADCAST_BLOCK pair comparisons (rows.size * J)
-    is one broadcast call.  Larger ones sort each row and scan lags k = 1, 2,
-    ...: each near pair x[i+k] - x[i] <= eps counts twice on top of the
-    diagonal pairs.  In a sorted row that difference only grows with k,
-    rounded or not, so a row with no near pair at lag k is dropped; the
-    scan stops when none is left.  Both paths subtract directly, so they
-    agree on every pair.
+    A batch of at most _BROADCAST_BLOCK pair comparisons (rows.size * J),
+    such as one configuration at J <= 181, is one broadcast call.
+    Larger ones sort each row and scan lags k = 1, 2, ...: each near pair
+    x[i+k] - x[i] <= eps counts twice on top of the diagonal pairs.  In
+    a sorted row that difference only grows with k, rounded or not, so a
+    row with no near pair at lag k is dropped; the scan stops when none is
+    left.  Both paths subtract directly, so they agree on every pair.
 
     Per row, best of 7 on a 2-core Xeon with numpy 2.4, on free strings
     at t = 1..64 from the zero profile, eps = 0.5 (b: one broadcast call):
@@ -94,22 +94,24 @@ def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
 # near_pairs takes the pair differences as one product rows @ D while the
 # rows are at most _PRODUCT_WIDTH wide (D at most 127 kB) and the product
 # has at most _PRODUCT_MACS multiply-adds, which OpenBLAS keeps on one
-# thread; T = 33 rows at J = 32, 273 at J = 16, 2340 at J = 8
+# thread: up to 33 rows at J = 32, 273 at J = 16, 2340 at J = 8
 _PRODUCT_WIDTH = 32
 _PRODUCT_MACS = 1 << 19
 
 
 @cache
 def _pair_index(J: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sites (i, j) of near_pairs' columns: (i, (i + k) mod J) for the
-    cyclic lags k = 1..(J-1)//2 and i = 0..J-1, then, for even J,
-    (i, i + J/2) for i < J/2.  Each unordered pair appears once."""
+    """Read-only sites (i, j) of near_pairs' columns: (i, (i + k) mod J)
+    for the cyclic lags k = 1..(J-1)//2 and i = 0..J-1, then, for even
+    J, (i, i + J/2) for i < J/2.  Each unordered pair appears once."""
     K = (J - 1) // 2
     i = np.tile(np.arange(J), K)
     j = (i + np.repeat(np.arange(1, K + 1), J)) % J
     if J % 2 == 0:
         h = np.arange(J // 2)
         i, j = np.concatenate([i, h]), np.concatenate([j, h + J // 2])
+    i.setflags(write=False)
+    j.setflags(write=False)
     return i, j
 
 
