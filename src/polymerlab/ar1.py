@@ -23,6 +23,8 @@ from .dynamics import counter_rng, mode_innovation_std
 from .spectral import Basis, Convention
 
 _LEGENDRE_GRID = 20_001
+# innovations tail_probe draws at once: 2^18 float64 values, 2 MB
+_DRAW_BLOCK = 1 << 18
 
 
 class DegenerateProcessError(ValueError):
@@ -112,7 +114,8 @@ def rate_function(params: AR1Params, x):
     out = np.full(xs.shape, np.inf)
     pos = (xs > 0.0) & (xs < np.inf)
     xp = xs[pos]
-    root = np.sqrt(4.0 * params.rho ** 2 * xp ** 2 + 1.0)
+    # hypot, not sqrt(4 rho^2 x^2 + 1): x^2 overflows above ~1.3e154
+    root = np.hypot(2.0 * params.rho * xp, 1.0)
     out[pos] = (-0.5 * np.log(2.0 * xp / (1.0 + root))
                 + 0.5 * ((params.rho ** 2 + 1.0) * xp - root))
     return float(out[0]) if scalar else out
@@ -173,17 +176,20 @@ def tail_probe(params: AR1Params, T: int, K: float, samples: int,
     Chunks of chains run on a thread pool, each from its own
     deterministic stream (counter_rng(seed, 7, chunk index)), and the
     counts are reduced in chunk order, so the result does not depend on
-    the number of workers.  Each chunk draws its innovations as one
-    (chunk, T) array, row i for chain i, and runs the recursion
-    X_t = rho X_{t-1} + sigma xi_t down the columns, accumulating the
-    sum of X_t^2 per chain; no (chunk, T) array of X is built.  The
-    X_t equal those of the direct-form filter (scipy.signal.lfilter) bit
-    for bit; the sum over t is sequential, not pairwise, so S_T can
-    differ from a numpy mean by an ulp and move a count only where S_T
-    lies within an ulp of K.  Fewer
-    than 20 exceedances flags the result as underpowered; zero
-    exceedances report an infinite empirical rate, still flagged, never
-    an error.
+    the number of workers.  A chunk draws its innovations in consecutive
+    blocks of max(1, _DRAW_BLOCK // T) chains into one reused buffer,
+    row i for chain i; sequential draws from one generator give the
+    values of one (chunk, T) draw, so the counts do not depend on the
+    block size.  Each block runs the recursion X_t = rho X_{t-1} +
+    sigma xi_t down its columns in place, accumulating the sum of X_t^2
+    per chain, so a worker holds about _DRAW_BLOCK values (2 MB) plus a
+    few chunk-length vectors, whatever T is.  The X_t equal those of
+    the direct-form filter (scipy.signal.lfilter) bit for bit; the sum
+    over t is sequential, not pairwise, so S_T can differ from a numpy
+    mean by an ulp and move a count only where S_T lies within an ulp
+    of K.  Fewer than 20 exceedances flags the result as underpowered;
+    zero exceedances report an infinite empirical rate, still flagged,
+    never an error.
     """
     _check_positive_sigma(params)
     stat_mean = params.sigma2 / (1.0 - params.rho ** 2)
@@ -197,15 +203,28 @@ def tail_probe(params: AR1Params, T: int, K: float, samples: int,
     sizes = [min(chunk, samples - start)
              for start in range(0, samples, chunk)]
 
+    rows = max(1, _DRAW_BLOCK // T)
+
     def run(idx_size):
         idx, size = idx_size
         rng = counter_rng(seed, 7, idx)
-        x = np.zeros(size)
+        buf = np.empty(min(rows, size) * T)
+        x = np.empty(min(rows, size))
+        sq = np.empty_like(x)
         sq_sum = np.zeros(size)
-        for xi_t in rng.standard_normal((size, T)).T:
-            x *= params.rho
-            x += sigma * xi_t
-            sq_sum += x * x
+        for start in range(0, size, rows):
+            n = min(rows, size - start)
+            xi = buf[:n * T].reshape(n, T)
+            rng.standard_normal(out=xi)
+            xi *= sigma
+            xb, sqb = x[:n], sq[:n]
+            s_sum = sq_sum[start:start + n]
+            xb.fill(0.0)
+            for xi_t in xi.T:
+                xb *= params.rho
+                xb += xi_t
+                np.multiply(xb, xb, out=sqb)
+                s_sum += sqb
         return int(np.count_nonzero(sq_sum / T > K))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

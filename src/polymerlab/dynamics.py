@@ -85,9 +85,14 @@ def sample_noise(seed: int, T: int, J: int, drift: float = 0.0) -> NoiseField:
 
 
 def neumann_laplacian(u: np.ndarray) -> np.ndarray:
-    """Second difference with reflecting ghost cells, along the last axis."""
+    """Second difference with reflecting ghost cells, along the last axis.
+    The interior is summed in place in the result, with the rounding of
+    u[2:] - 2 u[1:-1] + u[:-2], so a call allocates only the result."""
     lap = np.empty_like(u)
-    lap[..., 1:-1] = u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]
+    mid = lap[..., 1:-1]
+    np.multiply(u[..., 1:-1], -2.0, out=mid)
+    mid += u[..., 2:]
+    mid += u[..., :-2]
     if u.shape[-1] == 1:
         lap[..., 0] = 0.0
         return lap

@@ -226,15 +226,23 @@ def scaling_exact_r2(basis: Basis, T: int,
 def _stationary_mode_r(basis: Basis, T: int, reps: int, rng,
                        conv: Convention) -> np.ndarray:
     """Per-replicate gyration radius of stationary free trajectories,
-    simulated in mode coordinates (time-stepped to bound memory)."""
+    simulated in mode coordinates, time-stepped in place on two
+    (reps, J-1) buffers so memory stays O(reps*J) for any T."""
     sd = stationary_mode_std(basis, conv)[1:]
     sig = mode_innovation_std(basis, conv)[1:]
     rho = basis.rho[1:]
-    X = sd * rng.standard_normal((reps, len(rho)))
+    X = rng.standard_normal((reps, len(rho)))
+    X *= sd
+    xi = np.empty_like(X)
+    sq = np.empty(reps)
     acc = np.zeros(reps)
     for _ in range(T):
-        X = rho * X + sig * rng.standard_normal((reps, len(rho)))
-        acc += np.einsum("ij,ij->i", X, X)
+        rng.standard_normal(out=xi)
+        xi *= sig
+        X *= rho
+        X += xi
+        np.einsum("ij,ij->i", X, X, out=sq)
+        acc += sq
     return np.sqrt(acc / (T * basis.J))
 
 
@@ -670,8 +678,10 @@ def rows_to_csv(fieldnames, rows) -> str:
 
 
 def parse_report_csv(text: str) -> list:
-    """Inverse of rows_to_csv with typed cells: int, float, bool, or str."""
-    lines = [ln for ln in text.splitlines() if ln]
+    """Inverse of rows_to_csv with typed cells: int, float, bool, or str.
+    Every line after the header is a row: in a one-column report a blank
+    line is a row whose cell is None."""
+    lines = text.splitlines()
     header = lines[0].split(",")
     out = []
     for ln in lines[1:]:

@@ -128,7 +128,8 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
     Boltzmann log weights attached.  init "stationary" draws the first
     row from the exact stationary law of the modes m >= 1.  Chunks of
     `count` run as one batch each, accumulating R and the pair counts
-    across time so memory stays O(chunk*J)."""
+    across time in place on three (chunk, J) buffers (the profile, the
+    noise and the deviation), so memory stays O(chunk*J) for any T."""
     if init not in ("zero", "stationary"):
         raise ValueError(f"unknown init {init!r}")
     J = basis.J
@@ -141,15 +142,26 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
         c = min(chunk, count - done)
         u = (sample_stationary_field(basis, rng, c, conv)
              if init == "stationary" else np.zeros((c, J)))
+        xi = np.empty((c, J))
+        # the deviation buffer doubles as the mode-to-site product
+        dev = np.empty((c, J))
+        step = xi if sig is None else dev
+        mean = np.empty((c, 1))
+        sq = np.empty(c)
         sq_acc = np.zeros(c)
         n_acc = np.zeros(c, dtype=np.int64)
         for _ in range(T):
-            xi = rng.standard_normal((c, J))
+            rng.standard_normal(out=xi)
             if sig is not None:
-                xi = (xi * sig) @ basis.e
-            u = u + basis.kappa * neumann_laplacian(u) + xi
-            dev = u - u.mean(axis=1, keepdims=True)
-            sq_acc += (dev ** 2).sum(axis=1)
+                xi *= sig
+                np.matmul(xi, basis.e, out=dev)
+            u += basis.kappa * neumann_laplacian(u)
+            u += step
+            np.mean(u, axis=1, keepdims=True, out=mean)
+            np.subtract(u, mean, out=dev)
+            np.square(dev, out=dev)
+            np.sum(dev, axis=1, out=sq)
+            sq_acc += sq
             n_acc += intersection_counts_batch(u, epsilon)
         Rs.append(np.sqrt(sq_acc / (T * J)))
         Ns.append(n_acc)

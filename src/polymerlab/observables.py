@@ -203,7 +203,7 @@ def occupancy_histogram(traj, t=0, epsilon: float = None,
     """Assign each site value to the half-open bin
     (z*eps - alpha*eps, z*eps + (1-alpha)*eps]; every site lands in
     exactly one bin."""
-    if epsilon is None or epsilon <= 0:
+    if epsilon is None or not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")

@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from polymerlab import ar1
 from polymerlab.ar1 import (AR1Params, DegenerateProcessError,
                             ar1_params_for_mode, cumulant_threshold,
                             legendre_rate, mode_decompose, rate_function,
@@ -124,6 +126,27 @@ def test_rate_at_infinity_is_infinite_and_nan_raises():
             rate_function(p, x)
 
 
+def test_rate_at_huge_x_is_finite_without_warnings():
+    for rho in (0.0, 0.6):
+        p = AR1Params(rho=rho, sigma2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = rate_function(p, 1e300)
+        assert val > 0 and not np.isnan(val)
+
+
+def test_rate_root_keeps_the_sqrt_bits_at_the_probe_points():
+    # the ldp rows and ldp-probe checksums hold these values; hypot must
+    # give the bits of the former sqrt(4 rho^2 x^2 + 1) there
+    for rho in (0.0, 0.6):
+        p = AR1Params(rho=rho, sigma2=1.0)
+        for x in (1.0, 2.0, 3.0, 4.0):
+            root = np.sqrt(4.0 * rho ** 2 * x ** 2 + 1.0)
+            old = (-0.5 * np.log(2.0 * x / (1.0 + root))
+                   + 0.5 * ((rho ** 2 + 1.0) * x - root))
+            assert rate_function(p, x) == old
+
+
 def test_rate_degenerate_sigma_raises():
     p = AR1Params(rho=0.5, sigma2=0.0)
     with pytest.raises(DegenerateProcessError):
@@ -209,6 +232,56 @@ def test_tail_probe_counts_equal_lfilter(rho, sigma2, T, K, seed):
     out = tail_probe(p, workers=2, **kw)
     assert out["exceedances"] > 100
     assert out["exceedances"] == _lfilter_exceedances(p, **kw)
+
+
+def _one_draw_exceedances(params, T, K, samples, seed, chunk):
+    """Oracle: the probe's loop as it was before it drew in blocks, one
+    (chunk, T) draw per chunk and fresh arrays at every step."""
+    sigma = np.sqrt(params.sigma2)
+    total = 0
+    for idx, start in enumerate(range(0, samples, chunk)):
+        size = min(chunk, samples - start)
+        rng = counter_rng(seed, 7, idx)
+        x = np.zeros(size)
+        sq_sum = np.zeros(size)
+        for xi_t in rng.standard_normal((size, T)).T:
+            x = params.rho * x + sigma * xi_t
+            sq_sum = sq_sum + x * x
+        total += int(np.count_nonzero(sq_sum / T > K))
+    return total
+
+
+@pytest.mark.parametrize("rho, sigma2, T, K", [(0.6, 1.0, 30, 2.5),
+                                               (-0.9, 2.0, 20, 13.0)])
+@pytest.mark.parametrize("rows", [7, 1])
+def test_tail_probe_blocks_equal_one_draw(monkeypatch, rho, sigma2, T, K,
+                                          rows):
+    # chunks of 1000, 1000 and 3 chains: 7-chain blocks leave a ragged
+    # block of 6, and the last chunk is one short block; a block smaller
+    # than T rounds up to one chain per block
+    p = AR1Params(rho=rho, sigma2=sigma2)
+    kw = dict(T=T, K=K, samples=2_003, seed=4, chunk=1_000)
+    whole = tail_probe(p, workers=2, **kw)
+    monkeypatch.setattr(ar1, "_DRAW_BLOCK", rows * T + 2 if rows > 1
+                        else T - 1)
+    blocked = tail_probe(p, workers=2, **kw)
+    assert blocked["exceedances"] > 50
+    assert blocked == whole
+    assert blocked["exceedances"] == _one_draw_exceedances(p, **kw)
+
+
+def test_tail_probe_working_set_is_bounded():
+    # one (chunk, T) draw would hold 50_000 * 400 * 8 B = 160 MB; numpy
+    # reports its buffers to tracemalloc
+    p = AR1Params(rho=0.6, sigma2=1.0)
+    tracemalloc.start()
+    try:
+        tail_probe(p, T=400, K=3.0, samples=50_000, seed=1, chunk=50_000,
+                   workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_tail_probe_underpowered_and_empty():

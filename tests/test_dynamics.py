@@ -44,6 +44,15 @@ def test_neumann_laplacian_interior_and_edges():
     assert lap[2] == pytest.approx(u[1] - 2 * u[2] + u[3])
 
 
+def test_neumann_laplacian_equals_the_stencil_expression():
+    # the interior is summed in place; it must round as the expression
+    rng = np.random.default_rng(3)
+    for shape in ((2,), (7,), (5, 9), (3, 4, 33)):
+        u = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        want = u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]
+        assert np.array_equal(neumann_laplacian(u)[..., 1:-1], want)
+
+
 def test_neumann_laplacian_single_site_is_zero():
     assert neumann_laplacian(np.array([3.0]))[0] == 0.0
 

@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polymerlab.experiments as ex
 from polymerlab.experiments import (ConfigError, StudyConfig, emit_report,
@@ -12,6 +16,8 @@ from polymerlab.experiments import (ConfigError, StudyConfig, emit_report,
                                     run_scaling_study, run_tail_probes,
                                     run_validation_suite,
                                     scaling_exact_r2, validation_manifest)
+from polymerlab.dynamics import (counter_rng, mode_innovation_std,
+                                 stationary_mode_std)
 from polymerlab.gibbs import SamplerDegeneracyError
 from polymerlab.spectral import Convention, build_basis
 
@@ -122,6 +128,29 @@ def test_exact_r2_zero_init_matches_recursion():
     assert scaling_exact_r2(b, T, init="zero") < scaling_exact_r2(b, T)
     with pytest.raises(ValueError):
         scaling_exact_r2(b, T, init="warm")
+
+
+def _stationary_mode_r_oracle(basis, T, reps, rng, conv):
+    """The stationary mode loop as it was before it ran in place: fresh
+    mode and noise arrays at every step."""
+    sd = stationary_mode_std(basis, conv)[1:]
+    sig = mode_innovation_std(basis, conv)[1:]
+    rho = basis.rho[1:]
+    X = sd * rng.standard_normal((reps, len(rho)))
+    acc = np.zeros(reps)
+    for _ in range(T):
+        X = rho * X + sig * rng.standard_normal((reps, len(rho)))
+        acc += np.einsum("ij,ij->i", X, X)
+    return np.sqrt(acc / (T * basis.J))
+
+
+@pytest.mark.parametrize("conv", [Convention.LITERAL, Convention.PAPER])
+@pytest.mark.parametrize("J", [1, 2, 9, 64])
+def test_stationary_mode_r_equals_allocating_oracle(conv, J):
+    b = build_basis(J)
+    got = ex._stationary_mode_r(b, 17, 41, counter_rng(4, 10, J), conv)
+    want = _stationary_mode_r_oracle(b, 17, 41, counter_rng(4, 10, J), conv)
+    assert np.array_equal(got, want)
 
 
 def _small_cfg(**kw):
@@ -277,3 +306,108 @@ def test_json_lines_are_compact_and_sorted():
     assert " " not in line
     assert obj["a"] == "paper"
     assert obj["b"] == quantize12(1.0 / 3.0)
+
+
+# Round trips of the report and config formats.  Report floats are stored
+# at 12 significant digits, so generated floats are quantize12'd first.
+
+_report_floats = st.floats(allow_subnormal=False).map(quantize12)
+_report_cells = st.one_of(st.none(), st.booleans(),
+                          st.integers(-2 ** 62, 2 ** 62), _report_floats)
+
+
+def _same(a, b):
+    """Equal values of the same kind: nan matches nan, and a bool stays
+    a bool (True == 1 would hide a bool read back as an int)."""
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _same_rows(a, b):
+    return (len(a) == len(b)
+            and all(ra.keys() == rb.keys()
+                    and all(_same(ra[k], rb[k]) for k in ra)
+                    for ra, rb in zip(a, b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       fields=st.lists(st.text("abcdefgh_", min_size=1, max_size=6),
+                       min_size=1, max_size=6, unique=True))
+def test_csv_round_trip(data, fields):
+    rows = data.draw(st.lists(st.fixed_dictionaries(
+        {k: _report_cells for k in fields}), max_size=5))
+    back = parse_report_csv(rows_to_csv(fields, rows))
+    assert _same_rows(back, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.fixed_dictionaries(
+           {k: _report_cells for k in ex._TAIL_FIELDS}), max_size=5),
+       K=st.tuples(_report_floats, _report_floats),
+       verdicts=st.tuples(st.booleans(), st.booleans()))
+def test_jsonl_round_trip(rows, K, verdicts):
+    report = {"rows": rows, "K1": K[0], "K2": K[1],
+              "lower_nonincreasing": verdicts[0],
+              "upper_nonincreasing": verdicts[1]}
+    with tempfile.TemporaryDirectory() as out:
+        meta, back = read_report_jsonl(emit_report(report, "jsonl", out))
+    assert meta["kind"] == "tails"
+    assert _same_rows([{k: meta[k] for k in ("K1", "K2",
+                                             "lower_nonincreasing",
+                                             "upper_nonincreasing")}],
+                      [{k: report[k] for k in ("K1", "K2",
+                                               "lower_nonincreasing",
+                                               "upper_nonincreasing")}])
+    assert _same_rows(back, rows)
+
+
+_config_text = st.text(st.characters(codec="ascii", categories=("L", "N"),
+                                     include_characters="/._-=+ "),
+                       max_size=12).map(str.strip)
+_config_values = {
+    "J_list": st.lists(st.integers(0, 10 ** 6)).map(tuple),
+    "T": st.integers(-10 ** 9, 10 ** 9),
+    "T_list": st.lists(st.integers(0, 10 ** 6)).map(tuple),
+    "kappa": st.floats(),
+    "beta": st.floats(),
+    "epsilon": st.floats(),
+    "convention": st.sampled_from(list(Convention)),
+    "sampler": _config_text,
+    "seed": st.integers(0, 2 ** 63),
+    "replicates": st.integers(-10 ** 9, 10 ** 9),
+    "ess_floor": st.floats(),
+    "output_dir": _config_text,
+}
+
+
+def _config_line(key, value, pad, upper, comment):
+    if isinstance(value, tuple):
+        text = (", " if pad else ",").join(map(str, value))
+    elif isinstance(value, Convention):
+        text = value.value.upper() if upper else value.value
+    else:
+        text = repr(value) if isinstance(value, float) else str(value)
+    sp = " " * pad
+    return (f"{sp}{key}{sp}={sp}{text}{sp}"
+            + (f"# {comment}" if comment is not None else ""))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       keys=st.lists(st.sampled_from(sorted(_config_values)), unique=True))
+def test_config_text_round_trip(data, keys):
+    values = {k: data.draw(_config_values[k], label=k) for k in keys}
+    lines = []
+    for key, value in values.items():
+        if data.draw(st.booleans(), label="comment line"):
+            lines.append("# " + data.draw(st.text(max_size=8).filter(
+                lambda c: len(c.splitlines()) <= 1), label="comment"))
+        lines.append(_config_line(
+            key, value, data.draw(st.integers(0, 2), label="pad"),
+            data.draw(st.booleans(), label="upper"),
+            data.draw(st.none() | _config_text, label="trailing comment")))
+    back = parse_config_text("\n".join(lines) + "\n")
+    assert back.keys() == values.keys()
+    assert all(_same(back[k], values[k]) for k in values)

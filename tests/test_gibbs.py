@@ -3,7 +3,8 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import norm
 
-from polymerlab.dynamics import counter_rng
+from polymerlab.dynamics import (counter_rng, mode_innovation_std,
+                                 neumann_laplacian, sample_stationary_field)
 from polymerlab.experiments import scaling_exact_r2
 from polymerlab.gibbs import (SamplerDegeneracyError, WeightedEnsemble,
                               _NoiseChain,
@@ -121,6 +122,47 @@ def test_chunk_remainder_handled():
     assert len(ens) == 50
     assert np.all(np.isfinite(ens.obs["R"]))
     assert np.all(ens.obs["N_sum"] >= 4 * 3)      # self pairs at least
+
+
+def _ensemble_oracle(basis, T, epsilon, count, seed, init, conv, chunk):
+    """The free recursion as it was before it ran in place: fresh noise,
+    profile and deviation arrays at every step.  Returns (R, N_sum)."""
+    J = basis.J
+    sig = (None if conv is Convention.LITERAL
+           else mode_innovation_std(basis, conv))
+    rng = counter_rng(seed)
+    Rs, Ns = [], []
+    for done in range(0, count, chunk):
+        c = min(chunk, count - done)
+        u = (sample_stationary_field(basis, rng, c, conv)
+             if init == "stationary" else np.zeros((c, J)))
+        sq_acc = np.zeros(c)
+        n_acc = np.zeros(c, dtype=np.int64)
+        for _ in range(T):
+            xi = rng.standard_normal((c, J))
+            if sig is not None:
+                xi = (xi * sig) @ basis.e
+            u = u + basis.kappa * neumann_laplacian(u) + xi
+            dev = u - u.mean(axis=1, keepdims=True)
+            sq_acc += (dev ** 2).sum(axis=1)
+            n_acc += intersection_counts_batch(u, epsilon)
+        Rs.append(np.sqrt(sq_acc / (T * J)))
+        Ns.append(n_acc)
+    return np.concatenate(Rs), np.concatenate(Ns)
+
+
+@pytest.mark.parametrize("conv", [Convention.LITERAL, Convention.PAPER])
+@pytest.mark.parametrize("init", ["zero", "stationary"])
+@pytest.mark.parametrize("J", [1, 5, 40])
+def test_sample_ensemble_equals_allocating_oracle(conv, init, J):
+    # 53 replicates in chunks of 20 leave a remainder chunk of 13
+    b = build_basis(J)
+    ens = sample_ensemble(b, T=9, beta=0.1, epsilon=0.5, count=53, seed=6,
+                          init=init, conv=conv, chunk=20)
+    R, n_sum = _ensemble_oracle(b, 9, 0.5, 53, 6, init, conv, 20)
+    assert np.array_equal(ens.obs["R"], R)
+    assert np.array_equal(ens.obs["N_sum"], n_sum)
+    assert np.array_equal(ens.log_weights, -0.1 * n_sum.astype(float))
 
 
 @pytest.mark.parametrize("conv", [Convention.LITERAL, Convention.PAPER])

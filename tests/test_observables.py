@@ -246,3 +246,6 @@ def test_epsilon_validation():
         for eps in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError):
                 count(np.zeros((2, 3)), eps)
+    for eps in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            occupancy_histogram(np.array([0.1, 0.2, 3.0]), 0, eps)
