@@ -113,11 +113,16 @@ def rate_function(params: AR1Params, x):
         raise ValueError("rate_function is undefined at x = nan")
     out = np.full(xs.shape, np.inf)
     pos = (xs > 0.0) & (xs < np.inf)
-    xp = xs[pos]
-    # hypot, not sqrt(4 rho^2 x^2 + 1): x^2 overflows above ~1.3e154
-    root = np.hypot(2.0 * params.rho * xp, 1.0)
-    out[pos] = (-0.5 * np.log(2.0 * xp / (1.0 + root))
-                + 0.5 * ((params.rho ** 2 + 1.0) * xp - root))
+    # hypot, not sqrt(4 rho^2 x^2 + 1): x^2 overflows above ~1.3e154.
+    # Near the float maximum 2x, 2 rho x and (rho^2 + 1) x overflow too,
+    # so there the formula runs on y = s x with s = 1/4 and the ones
+    # replaced by s; a power of two scales without rounding, so s = 1
+    # below keeps the bits of the unscaled formula
+    s = np.where(xs[pos] > 1e300, 0.25, 1.0)
+    y = xs[pos] * s
+    root = np.hypot(2.0 * params.rho * y, s)         # s * sqrt(...)
+    out[pos] = (-0.5 * np.log(2.0 * y / (s + root))
+                + 0.5 * (((params.rho ** 2 + 1.0) * y - root) / s))
     return float(out[0]) if scalar else out
 
 

@@ -84,11 +84,14 @@ def sample_noise(seed: int, T: int, J: int, drift: float = 0.0) -> NoiseField:
     return NoiseField(T=T, J=J, xi=xi, seed=seed, drift=drift)
 
 
-def neumann_laplacian(u: np.ndarray) -> np.ndarray:
+def neumann_laplacian(u: np.ndarray, out: np.ndarray | None = None
+                      ) -> np.ndarray:
     """Second difference with reflecting ghost cells, along the last axis.
     The interior is summed in place in the result, with the rounding of
-    u[2:] - 2 u[1:-1] + u[:-2], so a call allocates only the result."""
-    lap = np.empty_like(u)
+    u[2:] - 2 u[1:-1] + u[:-2], so a call allocates only the result, and
+    nothing when it is written into `out` (an array of u's shape that
+    does not overlap u)."""
+    lap = np.empty_like(u) if out is None else out
     mid = lap[..., 1:-1]
     np.multiply(u[..., 1:-1], -2.0, out=mid)
     mid += u[..., 2:]

@@ -40,6 +40,9 @@ def radius_of_gyration(traj: Trajectory) -> float:
 # temporary) the broadcast turns 2-3x slower than the lag scan; at 2^15
 # it was faster at every J = 8-128 on the host of the table below.
 _BROADCAST_BLOCK = 1 << 15
+# values the lag scan sorts and scans at once: 2^16 float64 values,
+# 512 rows at J = 128, so a block's 0.5 MB temporaries stay in cache
+_SCAN_BLOCK = 1 << 16
 
 
 def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
@@ -51,24 +54,32 @@ def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
 
     A batch of at most _BROADCAST_BLOCK pair comparisons (rows.size * J),
     such as one configuration at J <= 181, is one broadcast call.
-    Larger ones sort each row and scan lags k = 1, 2, ...: each near pair
-    x[i+k] - x[i] <= eps counts twice on top of the diagonal pairs.  In
-    a sorted row that difference only grows with k, rounded or not, so a
-    row with no near pair at lag k is dropped; the scan stops when none is
-    left.  Both paths subtract directly, so they agree on every pair.
+    Larger ones run in blocks of at most _SCAN_BLOCK values (512 rows at
+    J = 128, at least one row), each on its own: sort each row and scan
+    lags k = 1, 2, ...: each near pair x[i+k] - x[i] <= eps counts twice
+    on top of the diagonal pairs.  In a sorted row that difference only
+    grows with k, rounded or not, so a row with no near pair at lag k is
+    dropped; a block's scan stops when none of its rows is left.  Every
+    row's count is the same in any block.  Both paths subtract directly,
+    so they agree on every pair.
 
-    Per row, best of 7 on a 2-core Xeon with numpy 2.4, on free strings
-    at t = 1..64 from the zero profile, eps = 0.5 (b: one broadcast call):
+    Per row, best of 7 (the lower of two such runs) on a 2-core Xeon
+    with numpy 2.4, on free strings at t = 1..64 from the zero profile,
+    eps = 0.5 (b: one broadcast call):
 
         rows     J = 16    J = 32    J = 64    J = 128
-           8     1.2 b     2.8 b     8.4 b     45 us
-          64     0.59 b    2.5       5.2       10
-         256     0.57      1.2       2.6       6.7
-        2000     0.43      1.0       2.3       6.6
+           8     1.3 b     3.2 b     9.7 b     27 us
+          64     0.80 b    2.8       4.0       8.7
+         256     0.73      1.3       2.3       6.9
+        2000     0.49      1.1       2.1       6.8
+        4000     0.56      1.1       2.4       6.7
 
-    Few wide rows are the slow end: at J = 128 one row takes 38 us (one
-    broadcast) and 8 rows 340 us, as a row near the zero profile is
-    scanned to its last lag.
+    Few wide rows are the slow end, as a row near the zero profile is
+    scanned to its last lag.  The blocks keep the scan's temporaries at
+    0.5 MB, in cache: on the same strings, 64 batches of 2000 rows at
+    J = 128 took 0.85-0.99 s in blocks of 2^16 values, 1.25-1.27 s in
+    blocks of 2^14 and 1.31-1.34 s as one block of 2^18 (best of 5, two
+    runs).
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -77,17 +88,23 @@ def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
     if rows.size * J <= _BROADCAST_BLOCK:
         close = np.abs(rows[..., :, None] - rows[..., None, :]) <= epsilon
         return close.sum(axis=(-2, -1)).astype(np.int64)
-    x = np.sort(rows.reshape(-1, J), axis=1)
-    out = np.isfinite(x).sum(axis=1)            # the near diagonal pairs
-    live = np.arange(x.shape[0])
-    for k in range(1, J):
-        near = (x[:, k:] - x[:, :-k] <= epsilon).sum(axis=1, dtype=np.int32)
-        out[live] += 2 * near
-        if not near.all():
-            keep = near > 0
-            x, live = x[keep], live[keep]
-            if not live.size:
-                break
+    flat = rows.reshape(-1, J)
+    out = np.empty(flat.shape[0], dtype=np.int64)
+    block = max(1, _SCAN_BLOCK // J)
+    for lo in range(0, flat.shape[0], block):
+        x = np.sort(flat[lo:lo + block], axis=1)
+        res = out[lo:lo + block]
+        res[:] = np.isfinite(x).sum(axis=1)     # the near diagonal pairs
+        live = np.arange(x.shape[0])
+        for k in range(1, J):
+            near = (x[:, k:] - x[:, :-k] <= epsilon).sum(axis=1,
+                                                         dtype=np.int32)
+            res[live] += 2 * near
+            if not near.all():
+                keep = near > 0
+                x, live = x[keep], live[keep]
+                if not live.size:
+                    break
     return out.reshape(rows.shape[:-1])
 
 

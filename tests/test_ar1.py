@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -133,6 +134,32 @@ def test_rate_at_huge_x_is_finite_without_warnings():
             warnings.simplefilter("error")
             val = rate_function(p, 1e300)
         assert val > 0 and not np.isnan(val)
+
+
+def _rate_decimal(rho, x):
+    """The rate at the float rho and x in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r, x = Decimal(rho), Decimal(x)
+        root = (4 * r * r * x * x + 1).sqrt()
+        return (-(2 * x / (1 + root)).ln() + (r * r + 1) * x - root) / 2
+
+
+def test_rate_near_the_float_maximum_meets_decimal():
+    # 2x, 2 rho x and (rho^2 + 1) x overflow here, though the rate, about
+    # (1 - |rho|)^2 x / 2, is finite
+    for rho in (0.0, 0.6, 0.9):
+        p = AR1Params(rho=rho, sigma2=1.0)
+        for x in (1e308, 1.7e308, np.finfo(float).max):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                val = rate_function(p, x)
+            want = _rate_decimal(rho, x)
+            assert np.isfinite(val)
+            assert abs(Decimal(val) - want) <= Decimal(1e-12) * abs(want)
+        xs = np.array([2.0, 1e308, np.finfo(float).max])
+        assert np.array_equal(rate_function(p, xs),
+                              [rate_function(p, x) for x in xs])
 
 
 def test_rate_root_keeps_the_sqrt_bits_at_the_probe_points():

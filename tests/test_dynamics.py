@@ -51,6 +51,9 @@ def test_neumann_laplacian_equals_the_stencil_expression():
         u = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
         want = u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]
         assert np.array_equal(neumann_laplacian(u)[..., 1:-1], want)
+        out = np.full(shape, np.nan)
+        assert neumann_laplacian(u, out=out) is out
+        assert np.array_equal(out, neumann_laplacian(u))
 
 
 def test_neumann_laplacian_single_site_is_zero():

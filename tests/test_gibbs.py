@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
@@ -151,15 +153,23 @@ def _ensemble_oracle(basis, T, epsilon, count, seed, init, conv, chunk):
     return np.concatenate(Rs), np.concatenate(Ns)
 
 
+# 53 replicates in chunks of 20 leave a remainder chunk of 13; at J = 128
+# each step of a 600-row chunk is counted in a 512-row scan block and an
+# 88-row one, and the remainder chunk has 500 rows
 @pytest.mark.parametrize("conv", [Convention.LITERAL, Convention.PAPER])
 @pytest.mark.parametrize("init", ["zero", "stationary"])
-@pytest.mark.parametrize("J", [1, 5, 40])
-def test_sample_ensemble_equals_allocating_oracle(conv, init, J):
-    # 53 replicates in chunks of 20 leave a remainder chunk of 13
+@pytest.mark.parametrize("J, T, count, chunk", [
+    pytest.param(1, 9, 53, 20, id="1"),
+    pytest.param(5, 9, 53, 20, id="5"),
+    pytest.param(40, 9, 53, 20, id="40"),
+    pytest.param(128, 3, 1100, 600, id="128"),
+])
+def test_sample_ensemble_equals_allocating_oracle(conv, init, J, T, count,
+                                                  chunk):
     b = build_basis(J)
-    ens = sample_ensemble(b, T=9, beta=0.1, epsilon=0.5, count=53, seed=6,
-                          init=init, conv=conv, chunk=20)
-    R, n_sum = _ensemble_oracle(b, 9, 0.5, 53, 6, init, conv, 20)
+    ens = sample_ensemble(b, T=T, beta=0.1, epsilon=0.5, count=count,
+                          seed=6, init=init, conv=conv, chunk=chunk)
+    R, n_sum = _ensemble_oracle(b, T, 0.5, count, 6, init, conv, chunk)
     assert np.array_equal(ens.obs["R"], R)
     assert np.array_equal(ens.obs["N_sum"], n_sum)
     assert np.array_equal(ens.log_weights, -0.1 * n_sum.astype(float))
@@ -181,6 +191,17 @@ def test_sample_ensemble_matches_closed_form_r2(conv, init):
 def test_sample_ensemble_rejects_unknown_init():
     with pytest.raises(ValueError):
         sample_ensemble(build_basis(3), 4, 0.1, 0.5, 10, seed=1, init="warm")
+
+
+def test_sample_ensemble_checks_epsilon_before_any_step():
+    # the ValueError comes from the caller's thread, not the count worker
+    with mock.patch("polymerlab.gibbs.neumann_laplacian") as step, \
+            mock.patch("polymerlab.gibbs.intersection_counts_batch") as count:
+        for eps in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                sample_ensemble(build_basis(4), T=3, beta=0.1, epsilon=eps,
+                                count=10, seed=1)
+    assert not step.called and not count.called
 
 
 @pytest.mark.parametrize("n", [5, 8, 50])

@@ -191,6 +191,52 @@ def test_near_pairs_rounding_row_and_shapes():
     assert near_pairs(np.zeros(5), 0.5).all()
 
 
+def _brute_by_slices(rows, epsilon):
+    """The brute oracle over 64 rows at a time, which keeps its
+    (rows, J, J) temporary small."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    parts = [self_intersection_count_brute(flat[i:i + 64], epsilon)
+             for i in range(0, len(flat), 64)]
+    return np.concatenate(parts).reshape(rows.shape[:-1])
+
+
+# a (3, b, J) batch of 3b rows with b = block + block // 5 + 1: three full
+# scan blocks of _SCAN_BLOCK // J rows and a remainder block.  The first
+# block's sites lie 10 eps apart, so every one of its rows drops out at
+# lag 1 and its scan stops there; after it, row scales fall from 1e3 eps
+# to 1e-2 eps, so rows drop out at many different lags and the last ones
+# are scanned to lag J - 1.  Half the rows sit on a lattice of eps, where
+# many pairs lie exactly eps apart; some rows hold a nan or infinite site;
+# at J = 65 the rounding row above starts each block.
+@pytest.mark.parametrize("J", [65, 128, 130])
+def test_batch_counts_equal_brute_across_scan_blocks(J):
+    eps = 0.2
+    block = observables._SCAN_BLOCK // J
+    b = block + block // 5 + 1
+    n = 3 * b
+    rng = np.random.default_rng(J)
+    rows = rng.standard_normal((n, J)) * eps * np.logspace(3, -2, n)[:, None]
+    lattice = rng.random(n) < 0.5
+    rows[lattice] = eps * np.round(rows[lattice] / eps)
+    rows[:block] = 10 * eps * rng.permuted(np.tile(np.arange(J), (block, 1)),
+                                           axis=1)
+    odd = rng.choice(n, n // 20, replace=False)
+    rows[odd, rng.integers(0, J, odd.size)] = rng.choice(
+        [np.nan, np.inf, -np.inf], odd.size)
+    if J == 65:
+        rows[::block] = np.concatenate(([0.1, 0.30000000000000004],
+                                        10.0 * np.arange(1, 64)))
+    rows = rows.reshape(3, b, J)
+    with np.errstate(invalid="ignore"):
+        counts = intersection_counts_batch(rows, eps)
+        want = _brute_by_slices(rows, eps)
+    assert counts.shape == (3, b)
+    assert counts.tolist() == want.tolist()
+    # the first block has no near pair, the last row is tight
+    flat = counts.reshape(-1)
+    assert flat[:block].max() <= J and flat[-1] > J * J // 2
+
+
 def test_batch_counts_keep_leading_shape_across_blocks():
     rows = np.random.default_rng(2).normal(size=(3, 25, 48))
     counts = intersection_counts_batch(rows, 0.3)
