@@ -114,10 +114,8 @@ def rate_function(params: AR1Params, x):
     out = np.full(xs.shape, np.inf)
     pos = (xs > 0.0) & (xs < np.inf)
     # hypot, not sqrt(4 rho^2 x^2 + 1): x^2 overflows above ~1.3e154.
-    # Near the float maximum 2x, 2 rho x and (rho^2 + 1) x overflow too,
-    # so there the formula runs on y = s x with s = 1/4 and the ones
-    # replaced by s; a power of two scales without rounding, so s = 1
-    # below keeps the bits of the unscaled formula
+    # 2x and (rho^2 + 1) x overflow near the float maximum, so above 1e300
+    # every term is scaled by s = 1/4; below, s = 1 keeps the bits
     s = np.where(xs[pos] > 1e300, 0.25, 1.0)
     y = xs[pos] * s
     root = np.hypot(2.0 * params.rho * y, s)         # s * sqrt(...)

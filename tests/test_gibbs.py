@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -202,6 +204,27 @@ def test_sample_ensemble_checks_epsilon_before_any_step():
                 sample_ensemble(build_basis(4), T=3, beta=0.1, epsilon=eps,
                                 count=10, seed=1)
     assert not step.called and not count.called
+
+
+def test_sample_ensemble_is_exact_under_thread_contention():
+    # four concurrent calls, each with its own count worker, on 2 cores,
+    # switching threads every microsecond: a step that wrote over a row
+    # while the worker counted it would change N_sum
+    b = build_basis(128)
+    R, n_sum = _ensemble_oracle(b, 4, 0.5, 700, 3, "zero",
+                                Convention.LITERAL, 600)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(sample_ensemble, b, 4, 0.1, 0.5, 700, 3,
+                                chunk=600) for _ in range(4)]
+            done = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for ens in done:
+        assert np.array_equal(ens.obs["N_sum"], n_sum)
+        assert np.array_equal(ens.obs["R"], R)
 
 
 @pytest.mark.parametrize("n", [5, 8, 50])
