@@ -14,7 +14,6 @@ beta*T*J ~ 700.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -129,20 +128,19 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
     Boltzmann log weights attached.  init "stationary" draws the first
     row from the exact stationary law of the modes m >= 1.  Chunks of
     `count` run as one batch each, accumulating R and the pair counts
-    across time in place on four (chunk, J) buffers (two profiles, the
-    noise and the deviation), so memory stays O(chunk*J) for any T.
+    across time in place on four (chunk, J) buffers (the profile, the
+    Laplacian, the noise and the deviation), so memory stays O(chunk*J)
+    for any T and a step allocates nothing but its pair count.
 
-    The pair count overlaps the recursion: a one-worker pool counts row
-    u_t while this thread draws the next noise and steps to u_{t+1} in
-    the other profile buffer.  The worker only reads the buffer it
-    counts, and its count is collected, in step order, before the next
-    step writes over that buffer.  Counts are integer sums, so N_sum, R
-    and the weights are those of the sequential loop bit for bit.  The
-    step is kappa * lap + u + noise, which rounds as
-    u + kappa * lap + noise, since addition commutes."""
+    The pair count runs in the calling thread.  Counting row u_t on a
+    worker thread while this one stepped to u_{t+1} halved the op on an
+    idle 2-core host, but the two threads hand the GIL back and forth
+    through the count's many small numpy calls and meet at every step:
+    on a shared host the op took 0.98-2.0 s from run to run, and 1.5-2.5
+    times the sequential loop's time while the second core was busy."""
     if init not in ("zero", "stationary"):
         raise ValueError(f"unknown init {init!r}")
-    # checked here, so the counter worker never raises it
+    # checked here, so a bad epsilon costs no step
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     J = basis.J
@@ -151,45 +149,36 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
            else mode_innovation_std(basis, conv))
     rng = counter_rng(seed)
     Rs, Ns = [], []
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for done in range(0, count, chunk):
-            c = min(chunk, count - done)
-            u = (sample_stationary_field(basis, rng, c, conv)
-                 if init == "stationary" else np.zeros((c, J)))
-            nxt = np.empty((c, J))
-            xi = np.empty((c, J))
-            # the deviation buffer doubles as the mode-to-site product
-            dev = np.empty((c, J))
-            step = xi if sig is None else dev
-            mean = np.empty((c, 1))
-            sq = np.empty(c)
-            sq_acc = np.zeros(c)
-            n_acc = np.zeros(c, dtype=np.int64)
-            counting = None
-            for _ in range(T):
-                rng.standard_normal(out=xi)
-                if sig is not None:
-                    xi *= sig
-                    np.matmul(xi, basis.e, out=dev)
-                neumann_laplacian(u, out=nxt)
-                nxt *= basis.kappa
-                nxt += u
-                nxt += step
-                np.mean(nxt, axis=1, keepdims=True, out=mean)
-                np.subtract(nxt, mean, out=dev)
-                np.square(dev, out=dev)
-                np.sum(dev, axis=1, out=sq)
-                sq_acc += sq
-                # u's count is in before the next step writes over u
-                if counting is not None:
-                    n_acc += counting.result()
-                counting = pool.submit(intersection_counts_batch, nxt,
-                                       epsilon)
-                u, nxt = nxt, u
-            if counting is not None:
-                n_acc += counting.result()
-            Rs.append(np.sqrt(sq_acc / (T * J)))
-            Ns.append(n_acc)
+    for done in range(0, count, chunk):
+        c = min(chunk, count - done)
+        u = (sample_stationary_field(basis, rng, c, conv)
+             if init == "stationary" else np.zeros((c, J)))
+        lap = np.empty((c, J))
+        xi = np.empty((c, J))
+        # the deviation buffer doubles as the mode-to-site product
+        dev = np.empty((c, J))
+        step = xi if sig is None else dev
+        mean = np.empty((c, 1))
+        sq = np.empty(c)
+        sq_acc = np.zeros(c)
+        n_acc = np.zeros(c, dtype=np.int64)
+        for _ in range(T):
+            rng.standard_normal(out=xi)
+            if sig is not None:
+                xi *= sig
+                np.matmul(xi, basis.e, out=dev)
+            neumann_laplacian(u, out=lap)
+            lap *= basis.kappa
+            u += lap
+            u += step
+            np.mean(u, axis=1, keepdims=True, out=mean)
+            np.subtract(u, mean, out=dev)
+            np.square(dev, out=dev)
+            np.sum(dev, axis=1, out=sq)
+            sq_acc += sq
+            n_acc += intersection_counts_batch(u, epsilon)
+        Rs.append(np.sqrt(sq_acc / (T * J)))
+        Ns.append(n_acc)
     n_sum = np.concatenate(Ns)
     return WeightedEnsemble(obs={"R": np.concatenate(Rs), "N_sum": n_sum},
                             log_weights=-beta * n_sum.astype(float),

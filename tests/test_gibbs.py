@@ -196,7 +196,7 @@ def test_sample_ensemble_rejects_unknown_init():
 
 
 def test_sample_ensemble_checks_epsilon_before_any_step():
-    # the ValueError comes from the caller's thread, not the count worker
+    # the ValueError comes before any step or pair count
     with mock.patch("polymerlab.gibbs.neumann_laplacian") as step, \
             mock.patch("polymerlab.gibbs.intersection_counts_batch") as count:
         for eps in (0.0, -0.5, float("nan")):
@@ -207,9 +207,9 @@ def test_sample_ensemble_checks_epsilon_before_any_step():
 
 
 def test_sample_ensemble_is_exact_under_thread_contention():
-    # four concurrent calls, each with its own count worker, on 2 cores,
-    # switching threads every microsecond: a step that wrote over a row
-    # while the worker counted it would change N_sum
+    # four concurrent calls on 2 cores, switching threads every
+    # microsecond: calls that shared a buffer or a generator would change
+    # R or N_sum
     b = build_basis(128)
     R, n_sum = _ensemble_oracle(b, 4, 0.5, 700, 3, "zero",
                                 Convention.LITERAL, 600)
