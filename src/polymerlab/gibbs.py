@@ -132,12 +132,11 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
     Laplacian, the noise and the deviation), so memory stays O(chunk*J)
     for any T and a step allocates nothing but its pair count.
 
-    The pair count runs in the calling thread.  Counting row u_t on a
-    worker thread while this one stepped to u_{t+1} halved the op on an
-    idle 2-core host, but the two threads hand the GIL back and forth
-    through the count's many small numpy calls and meet at every step:
-    on a shared host the op took 0.98-2.0 s from run to run, and 1.5-2.5
-    times the sequential loop's time while the second core was busy."""
+    The pair count runs in the calling thread.  On a worker thread
+    beside the recursion it cut the op by 40 % on an idle 2-core host,
+    but the two threads pass the GIL through the count's many small
+    numpy calls and meet at every step, so on a shared host the op's
+    time swung by a factor of two from run to run."""
     if init not in ("zero", "stationary"):
         raise ValueError(f"unknown init {init!r}")
     # checked here, so a bad epsilon costs no step
