@@ -14,7 +14,8 @@ def main():
                           seed=41, convention=conv)
         rep = run_scaling_study(cfg)
         print(f"{conv.name.lower():8s} exponent "
-              f"{rep.fitted_exponent:.4f} +- {rep.exponent_se:.4f}")
+              f"{rep.meta['fitted_exponent']:.4f} +- "
+              f"{rep.meta['exponent_se']:.4f}")
         for row in rep.rows:
             print(f"   J={row['J']:3d}  R = {row['R_mean']:8.4f}  "
                   f"exact {row['R_exact']:8.4f}  ({row['sampler']})")
@@ -25,11 +26,11 @@ def main():
     out = run_tail_probes(cfg, 0.2, 0.3)
     print("repulsive string, J=8, beta=0.02: tail probabilities by "
           "horizon")
-    for r in out["rows"]:
+    for r in out.rows:
         print(f"   T={r['T']:4d}  P(R < 1.6) = {r['lower_prob']:.4f}  "
               f"P(R > 2.4) = {r['upper_prob']:.4f}")
-    print(f"lower tail nonincreasing: {out['lower_nonincreasing']}")
-    print(f"upper tail nonincreasing: {out['upper_nonincreasing']}")
+    print(f"lower tail nonincreasing: {out.meta['lower_nonincreasing']}")
+    print(f"upper tail nonincreasing: {out.meta['upper_nonincreasing']}")
 
 
 if __name__ == "__main__":

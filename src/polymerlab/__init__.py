@@ -20,9 +20,8 @@ from .dynamics import (NoiseField, Trajectory, counter_rng,
                        simulate_recursion, solution_formula,
                        stationary_mode_std, trajectory_to_csv,
                        write_trajectory_binary)
-from .experiments import (ConfigError, ScalingReport, StudyConfig,
-                          ValidationReport, emit_report, load_config,
-                          parse_config_text, parse_report_csv,
+from .experiments import (ConfigError, Report, StudyConfig, emit_report,
+                          load_config, parse_config_text, parse_report_csv,
                           read_report_jsonl, rows_to_csv, run_scaling_study,
                           run_tail_probes, run_validation_suite,
                           scaling_exact_r2, validation_manifest)

@@ -39,8 +39,9 @@ class AR1Params:
     def __post_init__(self):
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not 0.0 <= self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be finite and nonnegative, got "
+                             f"{self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -104,23 +105,31 @@ def rate_function(params: AR1Params, x):
 
     +inf for x <= 0 and at x = +inf; general variance by I(x / sigma2).
     Vanishes exactly at the stationary mean.  A nan x raises ValueError.
+    x is taken as (x / 4) / sigma2, so an x or x / sigma2 below about
+    1e-323, where that underflows to zero, also gives +inf.
     """
     _check_positive_sigma(params)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    xs = np.atleast_1d(x) / params.sigma2
-    if np.isnan(xs).any():
-        raise ValueError("rate_function is undefined at x = nan")
-    out = np.full(xs.shape, np.inf)
-    pos = (xs > 0.0) & (xs < np.inf)
     # hypot, not sqrt(4 rho^2 x^2 + 1): x^2 overflows above ~1.3e154.
-    # 2x and (rho^2 + 1) x overflow near the float maximum, so above 1e300
-    # every term is scaled by s = 1/4; below, s = 1 keeps the bits
-    s = np.where(xs[pos] > 1e300, 0.25, 1.0)
-    y = xs[pos] * s
+    # x / sigma2, 2x and (rho^2 + 1) x overflow near the float maximum, so
+    # every term is scaled by s = 1/4, x before the division; a power of
+    # two keeps the bits
+    s = 0.25
+    y = np.atleast_1d(x) * s / params.sigma2
+    if np.isnan(y).any():
+        raise ValueError("rate_function is undefined at x = nan")
+    out = np.full(y.shape, np.inf)
+    pos = (y > 0.0) & (y < np.inf)
+    y = y[pos]
     root = np.hypot(2.0 * params.rho * y, s)         # s * sqrt(...)
-    out[pos] = (-0.5 * np.log(2.0 * y / (s + root))
-                + 0.5 * (((params.rho ** 2 + 1.0) * y - root) / s))
+    # the log's argument, at most x / sigma2, passes the float maximum
+    # only near rho = 0, where the rate is then above 2^1022: capping the
+    # argument there changes no bit of the rate
+    with np.errstate(over="ignore"):
+        arg = np.minimum(2.0 * y / (s + root), np.finfo(float).max)
+    out[pos] = (-0.5 * np.log(arg)
+                + (0.5 / s) * ((params.rho ** 2 + 1.0) * y - root))
     return float(out[0]) if scalar else out
 
 

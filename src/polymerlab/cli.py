@@ -93,6 +93,8 @@ def _cmd_spectra(cfg, args) -> int:
 
 def _cmd_simulate(cfg, args) -> int:
     J = cfg.one_width()
+    if not np.isfinite(args.drift):
+        raise ConfigError(f"--drift must be finite, got {args.drift}")
     noise = sample_noise(cfg.seed, cfg.T, J, args.drift)
     traj = simulate_recursion(np.zeros(J), noise, cfg.kappa)
     if args.format == "csv":
@@ -146,6 +148,8 @@ def _cmd_ldp(cfg, args) -> int:
     xs = _parse_list(args.x, float)
     if not np.isfinite(xs).all():
         raise ConfigError(f"--x values must be finite, got {args.x!r}")
+    if args.K is not None and not np.isfinite(args.K):
+        raise ConfigError(f"--K must be finite, got {args.K}")
     rows = []
     for x in xs:
         rows.append({"rho": params.rho, "sigma2": params.sigma2,
@@ -165,30 +169,25 @@ def _cmd_ldp(cfg, args) -> int:
 
 
 def _cmd_scaling(cfg, args) -> int:
-    report = run_scaling_study(cfg)
-    print(_json_line({"fitted_exponent": report.fitted_exponent,
-                      "exponent_se": report.exponent_se,
-                      "n_used": report.n_used,
-                      "convention": report.convention.value}))
+    meta = run_scaling_study(cfg).meta
+    print(_json_line({k: meta[k] for k in ("fitted_exponent", "exponent_se",
+                                           "n_used", "convention")}))
     return 0
 
 
 def _cmd_tails(cfg, args) -> int:
-    result = run_tail_probes(cfg, args.K1, args.K2)
-    print(_json_line({"K1": result["K1"], "K2": result["K2"],
-                      "lower_nonincreasing": result["lower_nonincreasing"],
-                      "upper_nonincreasing": result["upper_nonincreasing"]}))
+    print(_json_line(run_tail_probes(cfg, args.K1, args.K2).meta))
     return 0
 
 
 def _cmd_validate(cfg, args) -> int:
     report = run_validation_suite(cfg)
-    for check in report.checks:
+    for check in report.rows:
         mark = "PASS" if check["passed"] else "FAIL"
         print(f"[{mark}] {check['name']}: {check['detail']}")
-    print(f"{sum(c['passed'] for c in report.checks)}/"
-          f"{len(report.checks)} checks passed")
-    return 0 if report.passed else 1
+    print(f"{sum(c['passed'] for c in report.rows)}/"
+          f"{report.meta['n_checks']} checks passed")
+    return 0 if report.meta["passed"] else 1
 
 
 # subcommand -> (handler, help, the flags it reads, study defaults)

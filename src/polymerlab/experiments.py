@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,20 +118,11 @@ class StudyConfig:
         return self.J_list[0]
 
 
+# one parser per StudyConfig key, read off the field's annotation
 _FIELD_PARSERS = {
-    "J_list": _parse_list,
-    "T": int,
-    "T_list": _parse_list,
-    "kappa": float,
-    "beta": float,
-    "epsilon": float,
-    "convention": _parse_convention,
-    "sampler": str,
-    "seed": int,
-    "replicates": int,
-    "ess_floor": float,
-    "output_dir": str,
-}
+    name: {tuple: _parse_list, int: int, float: float, str: str,
+           Convention: _parse_convention}[kind]
+    for name, kind in typing.get_type_hints(StudyConfig).items()}
 
 
 def parse_config_text(text: str) -> dict:
@@ -192,6 +184,21 @@ def quantize12(x) -> float:
     if not np.isfinite(v):
         return v
     return float(f"{v:.12g}")
+
+
+@dataclass(frozen=True)
+class Report:
+    """One study's result, in the form its files hold it.
+
+    `kind` names the study and its files, `fields` orders the row
+    columns, `rows` holds one dict per row, and `meta` holds the JSONL
+    header keys that follow schema_version and kind.
+    """
+
+    kind: str
+    fields: tuple
+    rows: tuple
+    meta: dict
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +311,8 @@ def _scaling_cell(config: StudyConfig, J: int) -> dict:
     return row
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    rows: tuple
-    fitted_exponent: float
-    exponent_se: float
-    n_used: int
-    convention: Convention
-    T: int
-    beta: float
-
-    FIELDS = ("J", "beta", "R_mean", "R_q05", "R_q95",
-              "ESS_or_acceptance", "sampler", "flagged", "R_exact")
+_SCALING_FIELDS = ("J", "beta", "R_mean", "R_q05", "R_q95",
+                   "ESS_or_acceptance", "sampler", "flagged", "R_exact")
 
 
 def _slope_with_se(x: np.ndarray, y: np.ndarray):
@@ -332,15 +329,17 @@ def _slope_with_se(x: np.ndarray, y: np.ndarray):
     return slope, se
 
 
-def run_scaling_study(config: StudyConfig) -> ScalingReport:
-    """Gyration radius versus string width.
+def run_scaling_study(config: StudyConfig) -> Report:
+    """Gyration radius versus string width, as a "scaling" Report.
 
     Cells run concurrently with per-cell seed streams; rows are
     assembled in J_list order.  R_mean is the quadratic mean of R over
     replicates, matched against the closed-form column R_exact.  The
     log-log slope is fitted over unflagged rows; fewer than 3 of them
-    raises the degeneracy error.  With output_dir set, creates it before
-    any cell runs and writes scaling.csv and scaling_summary.jsonl.
+    raises the degeneracy error.  `meta` holds convention, T, beta,
+    fitted_exponent, exponent_se and n_used.  With output_dir set,
+    creates it before any cell runs and writes scaling.csv and
+    scaling_summary.jsonl.
     """
     if config.output_dir is not None:
         os.makedirs(config.output_dir, exist_ok=True)
@@ -354,11 +353,11 @@ def run_scaling_study(config: StudyConfig) -> ScalingReport:
     x = np.log([r["J"] for r in used])
     y = np.log([r["R_mean"] for r in used])
     slope, se = _slope_with_se(x, y)
-    report = ScalingReport(rows=tuple(rows),
-                           fitted_exponent=quantize12(slope),
-                           exponent_se=quantize12(se),
-                           n_used=len(used), convention=config.convention,
-                           T=config.T, beta=config.beta)
+    report = Report("scaling", _SCALING_FIELDS, tuple(rows),
+                    {"convention": config.convention.value, "T": config.T,
+                     "beta": quantize12(config.beta),
+                     "fitted_exponent": quantize12(slope),
+                     "exponent_se": quantize12(se), "n_used": len(used)})
     if config.output_dir is not None:
         emit_report(report, "csv", config.output_dir)
         emit_report(report, "jsonl", config.output_dir)
@@ -401,15 +400,17 @@ _TAIL_FIELDS = ("T", "lower_prob", "lower_se", "lower_count", "upper_prob",
                 "upper_underpowered", "sampler", "ESS_or_acceptance")
 
 
-def run_tail_probes(config: StudyConfig, K1: float, K2: float) -> dict:
-    """P(R < K1*J) and P(R > K2*J) across the horizons in T_list, with a
-    nonincreasing-in-T verdict per tail at three combined standard
-    errors.  Horizons run concurrently; the table is assembled in
-    T_list order.  Sampling is stationary-start (direct at beta=0,
-    Metropolis otherwise) so horizon comparisons are not confounded by
-    the burn-in transient.  An output_dir is created before sampling."""
-    if not 0.0 <= K1 < K2:
-        raise ConfigError("need 0 <= K1 < K2")
+def run_tail_probes(config: StudyConfig, K1: float, K2: float) -> Report:
+    """P(R < K1*J) and P(R > K2*J) across the horizons in T_list, as a
+    "tails" Report whose `meta` holds K1, K2 and a nonincreasing-in-T
+    verdict per tail at three combined standard errors.  Horizons run
+    concurrently; the table is assembled in T_list order.  Sampling is
+    stationary-start (direct at beta=0, Metropolis otherwise) so horizon
+    comparisons are not confounded by the burn-in transient.  An
+    output_dir is created before sampling, and tails.csv and tails.jsonl
+    are written to it."""
+    if not 0.0 <= K1 < K2 < np.inf:
+        raise ConfigError("need finite 0 <= K1 < K2")
     if config.T_list is None or len(config.T_list) < 2:
         raise ConfigError("tail probes need T_list with at least two "
                           "horizons")
@@ -427,13 +428,14 @@ def run_tail_probes(config: StudyConfig, K1: float, K2: float) -> dict:
                 return False
         return True
 
-    result = {"rows": rows, "K1": K1, "K2": K2,
-              "lower_nonincreasing": nonincreasing("lower"),
-              "upper_nonincreasing": nonincreasing("upper")}
+    report = Report("tails", _TAIL_FIELDS, tuple(rows),
+                    {"K1": quantize12(K1), "K2": quantize12(K2),
+                     "lower_nonincreasing": nonincreasing("lower"),
+                     "upper_nonincreasing": nonincreasing("upper")})
     if config.output_dir is not None:
-        emit_report(result, "csv", config.output_dir)
-        emit_report(result, "jsonl", config.output_dir)
-    return result
+        emit_report(report, "csv", config.output_dir)
+        emit_report(report, "jsonl", config.output_dir)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +618,8 @@ def _check_roundtrip(config):
              "R_q05": quantize12(0.5), "R_q95": quantize12(2.5),
              "ESS_or_acceptance": 100.0, "sampler": "direct",
              "flagged": False, "R_exact": quantize12(1.62)},)
-    text1 = rows_to_csv(ScalingReport.FIELDS, rows)
-    text2 = rows_to_csv(ScalingReport.FIELDS, rows)
+    text1 = rows_to_csv(_SCALING_FIELDS, rows)
+    text2 = rows_to_csv(_SCALING_FIELDS, rows)
     if text1 != text2:
         return _bad("emission is not deterministic")
     back = parse_report_csv(text1)
@@ -627,16 +629,12 @@ def _check_roundtrip(config):
     return _ok("byte-stable and parse-back exact")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-    passed: bool
-    manifest: tuple = field(default_factory=validation_manifest)
-
-
-def run_validation_suite(config: StudyConfig = None) -> ValidationReport:
+def run_validation_suite(config: StudyConfig = None) -> Report:
     """Run every registered invariant check with seeds derived from the
-    config; the manifest is the registry itself, never a hand-kept list.
+    config, as a "validation" Report with one name, passed, detail row
+    per check.  `meta` holds the overall verdict, the check count and
+    the manifest, which is the registry itself, never a hand-kept list.
+    With output_dir set, writes validation.jsonl.
     """
     config = config or StudyConfig()
     results = []
@@ -647,8 +645,11 @@ def run_validation_suite(config: StudyConfig = None) -> ValidationReport:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append({"name": name, "passed": bool(passed),
                         "detail": detail})
-    report = ValidationReport(checks=tuple(results),
-                              passed=all(r["passed"] for r in results))
+    report = Report("validation", ("name", "passed", "detail"),
+                    tuple(results),
+                    {"passed": all(r["passed"] for r in results),
+                     "n_checks": len(results),
+                     "manifest": list(validation_manifest())})
     if config.output_dir is not None:
         emit_report(report, "jsonl", config.output_dir)
     return report
@@ -718,50 +719,28 @@ def _json_line(obj) -> str:
                       separators=(",", ":"))
 
 
-def _normalize_report(report):
-    """Report object -> (stem, fieldnames, rows, meta)."""
-    if isinstance(report, ScalingReport):
-        meta = {"schema_version": SCHEMA_VERSION, "kind": "scaling",
-                "convention": report.convention, "T": report.T,
-                "beta": report.beta,
-                "fitted_exponent": report.fitted_exponent,
-                "exponent_se": report.exponent_se, "n_used": report.n_used}
-        return "scaling", ScalingReport.FIELDS, report.rows, meta
-    if isinstance(report, ValidationReport):
-        meta = {"schema_version": SCHEMA_VERSION, "kind": "validation",
-                "passed": report.passed, "n_checks": len(report.checks),
-                "manifest": list(report.manifest)}
-        return ("validation", ("name", "passed", "detail"), report.checks,
-                meta)
-    if isinstance(report, dict) and "rows" in report and "K1" in report:
-        meta = {"schema_version": SCHEMA_VERSION, "kind": "tails",
-                "K1": report["K1"], "K2": report["K2"],
-                "lower_nonincreasing": report["lower_nonincreasing"],
-                "upper_nonincreasing": report["upper_nonincreasing"]}
-        return "tails", _TAIL_FIELDS, report["rows"], meta
-    raise TypeError(f"cannot emit report of type {type(report).__name__}")
-
-
-def emit_report(report, format: str, out_dir: str) -> str:
+def emit_report(report: Report, format: str, out_dir: str) -> str:
     """Write one report file; identical inputs give identical bytes.
 
-    CSV carries the rows under the fixed header; JSONL starts with a
-    schema_version header object followed by one row object per line.
-    Returns the written path.
+    CSV carries the rows under the report's fields; JSONL starts with
+    the header {schema_version, kind, **meta} followed by one row object
+    per line.  Returns the written path.
     """
     if format not in ("csv", "jsonl"):
         raise ValueError(f"format must be csv or jsonl, got {format!r}")
-    stem, fieldnames, rows, meta = _normalize_report(report)
+    if not isinstance(report, Report):
+        raise TypeError(f"cannot emit report of type {type(report).__name__}")
     os.makedirs(out_dir, exist_ok=True)
     if format == "csv":
-        path = os.path.join(out_dir, f"{stem}.csv")
-        payload = rows_to_csv(fieldnames, rows)
+        path = os.path.join(out_dir, f"{report.kind}.csv")
+        payload = rows_to_csv(report.fields, report.rows)
     else:
-        suffix = "_summary" if stem == "scaling" else ""
-        path = os.path.join(out_dir, f"{stem}{suffix}.jsonl")
-        lines = [_json_line(meta)]
-        lines += [_json_line({k: r.get(k) for k in fieldnames})
-                  for r in rows]
+        suffix = "_summary" if report.kind == "scaling" else ""
+        path = os.path.join(out_dir, f"{report.kind}{suffix}.jsonl")
+        lines = [_json_line({"schema_version": SCHEMA_VERSION,
+                             "kind": report.kind, **report.meta})]
+        lines += [_json_line({k: r.get(k) for k in report.fields})
+                  for r in report.rows]
         payload = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)

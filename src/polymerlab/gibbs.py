@@ -306,10 +306,9 @@ class _NoiseChain:
         self.u = X[1:] @ self.e1
         self.near = near_pairs(self.u, self.epsilon)
 
-    def _try_tail(self, s, delta_modes):
-        """Accept/reject a change of the innovation modes of row s by
-        delta; rows s+1..T of the mode trajectory are affected."""
-        shift = self.rho_pow[:self.T - s] * (self.sig * delta_modes)
+    def _try_tail(self, s, shift):
+        """Accept/reject adding shift to rows s+1..T of the mode
+        trajectory, the rows a change at row s moves."""
         new_X = self.X[s + 1:] + shift
         new_u = new_X @ self.e1
         new_near = near_pairs(new_u, self.epsilon)
@@ -327,7 +326,8 @@ class _NoiseChain:
         new_row = keep * self.xi[s] + scale * self.rng.standard_normal(
             self.basis.J)
         delta_modes = (new_row - self.xi[s]) @ self.e1.T
-        if self._try_tail(s, delta_modes):
+        shift = self.rho_pow[:self.T - s] * (self.sig * delta_modes)
+        if self._try_tail(s, shift):
             self.xi[s] = new_row
             return True
         return False
@@ -336,7 +336,8 @@ class _NoiseChain:
         keep = np.sqrt(1.0 - scale * scale)
         new_val = keep * self.xi[s, n] + scale * self.rng.standard_normal()
         delta_modes = self.e1[:, n] * (new_val - self.xi[s, n])
-        if self._try_tail(s, delta_modes):
+        shift = self.rho_pow[:self.T - s] * (self.sig * delta_modes)
+        if self._try_tail(s, shift):
             self.xi[s, n] = new_val
             return True
         return False
@@ -346,20 +347,11 @@ class _NoiseChain:
         new_w0 = keep * self.w0 + scale * self.rng.standard_normal(
             len(self.rho))
         delta0 = (new_w0 - self.w0) * self.x0_scale
-        shift = self.rho_pow[1:self.T + 1] * delta0
-        new_X = self.X[1:] + shift
-        new_u = new_X @ self.e1
-        new_near = near_pairs(new_u, self.epsilon)
-        d_log = -self.beta * float(2 * (np.count_nonzero(new_near)
-                                        - np.count_nonzero(self.near)))
-        if not metropolis_accept(self.rng, d_log):
-            return False
-        self.w0 = new_w0
-        self.X[0] = new_w0 * self.x0_scale
-        self.X[1:] = new_X
-        self.u = new_u
-        self.near = new_near
-        return True
+        if self._try_tail(0, self.rho_pow[1:] * delta0):
+            self.w0 = new_w0
+            self.X[0] = new_w0 * self.x0_scale
+            return True
+        return False
 
 
 def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,

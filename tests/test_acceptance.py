@@ -179,7 +179,8 @@ def test_criterion_7_gyration_scaling():
         cfg = StudyConfig(J_list=(8, 16, 32, 64), T=512, replicates=2000,
                           seed=SEED, convention=conv)
         rep = run_scaling_study(cfg)
-        assert lo < rep.fitted_exponent < hi, (conv, rep.fitted_exponent)
+        assert lo < rep.meta["fitted_exponent"] < hi, (
+            conv, rep.meta["fitted_exponent"])
         for row in rep.rows:
             rel = abs(row["R_mean"] / row["R_exact"] - 1.0)
             assert rel < 0.02, (conv, row)
@@ -189,5 +190,5 @@ def test_criterion_8_interaction_tails():
     cfg = StudyConfig(J_list=(8,), T_list=(64, 256), beta=0.02,
                       epsilon=0.5, replicates=600, seed=SEED)
     out = run_tail_probes(cfg, 0.2, 0.3)
-    assert out["lower_nonincreasing"], out["rows"]
-    assert out["upper_nonincreasing"], out["rows"]
+    assert out.meta["lower_nonincreasing"], out.rows
+    assert out.meta["upper_nonincreasing"], out.rows

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -33,6 +34,9 @@ def test_params_validation():
         AR1Params(rho=1.0, sigma2=1.0)
     with pytest.raises(ValueError):
         AR1Params(rho=0.2, sigma2=-1.0)
+    for sigma2 in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma2"):
+            AR1Params(rho=0.2, sigma2=sigma2)
 
 
 def test_params_for_mode():
@@ -136,28 +140,32 @@ def test_rate_at_huge_x_is_finite_without_warnings():
         assert val > 0 and not np.isnan(val)
 
 
-def _rate_decimal(rho, x):
-    """The rate at the float rho and x in 50-digit decimal arithmetic."""
+def _rate_decimal(rho, x, sigma2=1.0):
+    """The rate at the float rho, x and sigma2 in 50-digit decimal
+    arithmetic."""
     with localcontext() as ctx:
         ctx.prec = 50
-        r, x = Decimal(rho), Decimal(x)
+        r, x = Decimal(rho), Decimal(x) / Decimal(sigma2)
         root = (4 * r * r * x * x + 1).sqrt()
         return (-(2 * x / (1 + root)).ln() + (r * r + 1) * x - root) / 2
 
 
 def test_rate_near_the_float_maximum_meets_decimal():
-    # 2x, 2 rho x and (rho^2 + 1) x overflow here, though the rate, about
-    # (1 - |rho|)^2 x / 2, is finite
-    for rho in (0.0, 0.6, 0.9):
-        p = AR1Params(rho=rho, sigma2=1.0)
-        for x in (1e308, 1.7e308, np.finfo(float).max):
+    # 2x, 2 rho x and (rho^2 + 1) x overflow here, and for sigma2 < 1 so
+    # does x / sigma2 (up to twice the float maximum), though the rate,
+    # about (1 - |rho|)^2 x / (2 sigma2), is finite
+    big = np.array([1e308, 1.7e308, np.finfo(float).max])
+    for rho, sigma2 in itertools.product((0.0, 0.6, 0.9), (1.0, 0.5, 1e-5)):
+        p = AR1Params(rho=rho, sigma2=sigma2)
+        scale = min(1.0, 2.0 * sigma2)
+        for x in big * scale:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 val = rate_function(p, x)
-            want = _rate_decimal(rho, x)
+            want = _rate_decimal(rho, x, sigma2)
             assert np.isfinite(val)
             assert abs(Decimal(val) - want) <= Decimal(1e-12) * abs(want)
-        xs = np.array([2.0, 1e308, np.finfo(float).max])
+        xs = np.array([2.0, 1e308, np.finfo(float).max]) * scale
         assert np.array_equal(rate_function(p, xs),
                               [rate_function(p, x) for x in xs])
 

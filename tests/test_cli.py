@@ -169,7 +169,10 @@ def test_bad_flag_value_exits_two(capsys):
     gibbs = ("gibbs", "--T", "4", "--replicates", "10")
     for argv in (("scaling", "--J", "4,eight"), ("ldp", "--x", "1,abc"),
                  gibbs + ("--epsilon", "nan"), gibbs + ("--beta", "inf"),
-                 ("ldp", "--x=-1,inf"), ("ldp", "--x", "nan")):
+                 ("ldp", "--x=-1,inf"), ("ldp", "--x", "nan"),
+                 ("simulate", "--T", "2", "--drift", "nan"),
+                 ("ldp", "--K", "inf"),
+                 ("tails", "--T-list", "4,8", "--K2", "inf")):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "configuration error" in err

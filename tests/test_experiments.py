@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymerlab.experiments as ex
-from polymerlab.experiments import (ConfigError, StudyConfig, emit_report,
-                                    load_config, parse_config_text,
+from polymerlab.experiments import (ConfigError, Report, StudyConfig,
+                                    emit_report, load_config,
+                                    parse_config_text,
                                     parse_report_csv, quantize12,
                                     read_report_jsonl, rows_to_csv,
                                     run_scaling_study, run_tail_probes,
@@ -71,8 +72,8 @@ def test_load_config_defaults_rank_below_file_and_overrides(tmp_path):
 
 
 def test_config_fields_and_parsers_name_the_same_keys():
-    # both lists are kept by hand; a key in one only is either unreadable
-    # from a config file or rejected by StudyConfig
+    # a key in one only is either unreadable from a config file or
+    # rejected by StudyConfig
     fields = {f.name for f in dataclasses.fields(StudyConfig)}
     assert fields == set(ex._FIELD_PARSERS)
 
@@ -161,12 +162,12 @@ def _small_cfg(**kw):
 
 def test_scaling_free_study():
     rep = run_scaling_study(_small_cfg())
-    assert rep.n_used == 3
+    assert rep.meta["n_used"] == 3
     assert all(r["sampler"] == "direct" for r in rep.rows)
     assert [r["J"] for r in rep.rows] == [4, 8, 16]
     for r in rep.rows:
         assert r["R_mean"] == pytest.approx(r["R_exact"], rel=0.05)
-    assert 0.3 < rep.fitted_exponent < 0.7
+    assert 0.3 < rep.meta["fitted_exponent"] < 0.7
 
 
 def test_scaling_study_deterministic(tmp_path):
@@ -178,6 +179,10 @@ def test_scaling_study_deterministic(tmp_path):
         (d2 / "scaling.csv").read_bytes()
     assert (d1 / "scaling_summary.jsonl").read_bytes() == \
         (d2 / "scaling_summary.jsonl").read_bytes()
+    header, rows = read_report_jsonl(str(d1 / "scaling_summary.jsonl"))
+    assert header == {"schema_version": ex.SCHEMA_VERSION, "kind": "scaling",
+                      **r1.meta}
+    assert tuple(rows) == r1.rows
 
 
 def test_scaling_importance_degenerates_and_raises():
@@ -192,7 +197,7 @@ def test_scaling_auto_falls_back_to_metropolis():
                      T=16)
     rep = run_scaling_study(cfg)
     assert all(r["sampler"] == "metropolis" for r in rep.rows)
-    assert rep.n_used == 3
+    assert rep.meta["n_used"] == 3
 
 
 @pytest.mark.parametrize("conv", ["literal", "paper"])
@@ -220,29 +225,30 @@ def test_tail_probe_requires_horizons():
 def test_tail_probe_trivial_thresholds():
     cfg = _small_cfg(J_list=(8,), T_list=(16, 32), replicates=1500)
     out = run_tail_probes(cfg, 0.0, 100.0)
-    assert [r["T"] for r in out["rows"]] == [16, 32]
-    for r in out["rows"]:
+    assert [r["T"] for r in out.rows] == [16, 32]
+    for r in out.rows:
         assert r["lower_count"] == 0 and r["lower_prob"] == 0.0
         assert r["upper_count"] == 0 and r["upper_prob"] == 0.0
         assert r["sampler"] == "direct"
-    assert out["lower_nonincreasing"] and out["upper_nonincreasing"]
+    assert (out.meta["lower_nonincreasing"]
+            and out.meta["upper_nonincreasing"])
 
 
 def test_tail_probe_interior_thresholds():
     cfg = _small_cfg(J_list=(8,), T_list=(16, 32), replicates=4000)
     out = run_tail_probes(cfg, 0.2, 0.25)
     # rms ~ 1.62 at J=8: both tails populated at these cuts
-    assert all(r["lower_count"] > 0 for r in out["rows"])
-    assert all(r["upper_count"] > 0 for r in out["rows"])
-    for r in out["rows"]:
+    assert all(r["lower_count"] > 0 for r in out.rows)
+    assert all(r["upper_count"] > 0 for r in out.rows)
+    for r in out.rows:
         assert r["lower_se"] > 0 and r["upper_se"] > 0
 
 
 def test_validation_suite_green_and_manifested():
     rep = run_validation_suite(StudyConfig(seed=1))
-    assert rep.passed
-    assert tuple(r["name"] for r in rep.checks) == validation_manifest()
-    assert len(rep.checks) >= 12
+    assert rep.meta["passed"]
+    assert tuple(r["name"] for r in rep.rows) == validation_manifest()
+    assert len(rep.rows) >= 12
 
 
 def test_validation_crashed_check_is_failure(monkeypatch):
@@ -250,8 +256,8 @@ def test_validation_crashed_check_is_failure(monkeypatch):
         raise RuntimeError("kaput")
     monkeypatch.setattr(ex, "_CHECKS", ex._CHECKS + [("boom", boom)])
     rep = run_validation_suite(StudyConfig(seed=1))
-    assert not rep.passed
-    row = rep.checks[-1]
+    assert not rep.meta["passed"]
+    row = rep.rows[-1]
     assert row["name"] == "boom" and not row["passed"]
     assert "kaput" in row["detail"]
 
@@ -288,7 +294,7 @@ def test_emit_report_jsonl_schema(tmp_path):
     assert meta["schema_version"] == "1.0"
     assert meta["kind"] == "validation"
     assert meta["passed"] is True
-    assert len(rows) == len(rep.checks)
+    assert len(rows) == len(rep.rows)
     assert all(set(r) == {"name", "passed", "detail"} for r in rows)
 
 
@@ -342,19 +348,37 @@ def test_csv_round_trip(data, fields):
     assert _same_rows(back, rows)
 
 
+# each report kind's row fields, and its header keys with their values
+_REPORT_KINDS = {
+    "scaling": (ex._SCALING_FIELDS, {
+        "convention": st.sampled_from([c.value for c in Convention]),
+        "T": st.integers(1, 10 ** 9), "beta": _report_floats,
+        "fitted_exponent": _report_floats, "exponent_se": _report_floats,
+        "n_used": st.integers(0, 10 ** 6)}),
+    "tails": (ex._TAIL_FIELDS, {
+        "K1": _report_floats, "K2": _report_floats,
+        "lower_nonincreasing": st.booleans(),
+        "upper_nonincreasing": st.booleans()}),
+    "validation": (("name", "passed", "detail"), {
+        "passed": st.booleans(), "n_checks": st.integers(0, 10 ** 6),
+        "manifest": st.lists(st.text(max_size=8), max_size=4)}),
+}
+
+
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.fixed_dictionaries(
-           {k: _report_cells for k in ex._TAIL_FIELDS}), max_size=5),
-       K=st.tuples(_report_floats, _report_floats),
-       verdicts=st.tuples(st.booleans(), st.booleans()))
-def test_jsonl_round_trip(rows, K, verdicts):
-    report = {"rows": rows, "K1": K[0], "K2": K[1],
-              "lower_nonincreasing": verdicts[0],
-              "upper_nonincreasing": verdicts[1]}
+@given(data=st.data(), kind=st.sampled_from(sorted(_REPORT_KINDS)))
+def test_jsonl_round_trip(data, kind):
+    fields, meta_values = _REPORT_KINDS[kind]
+    rows = data.draw(st.lists(st.fixed_dictionaries(
+        {k: _report_cells for k in fields}), max_size=5), label="rows")
+    meta = data.draw(st.fixed_dictionaries(meta_values), label="meta")
+    report = Report(kind, fields, tuple(rows), meta)
     with tempfile.TemporaryDirectory() as out:
-        meta, back = read_report_jsonl(emit_report(report, "jsonl", out))
-    assert meta["kind"] == "tails"
-    assert all(_same(meta[k], report[k]) for k in report if k != "rows")
+        header, back = read_report_jsonl(emit_report(report, "jsonl", out))
+    assert list(header) == ["schema_version", "kind", *meta]
+    assert header["schema_version"] == ex.SCHEMA_VERSION
+    assert header["kind"] == kind
+    assert all(_same(header[k], meta[k]) for k in meta)
     assert _same_rows(back, rows)
 
 
