@@ -23,8 +23,9 @@ from .dynamics import counter_rng, mode_innovation_std
 from .spectral import Basis, Convention
 
 _LEGENDRE_GRID = 20_001
-# innovations tail_probe draws at once: 2^18 float64 values, 2 MB
-_DRAW_BLOCK = 1 << 18
+# chains per tail_probe chunk, and the threads that run the chunks
+_CHUNK = 100_000
+_WORKERS = 4
 
 
 class DegenerateProcessError(ValueError):
@@ -179,29 +180,47 @@ def legendre_rate(params: AR1Params, x):
     return float(sup[0]) if scalar else sup
 
 
+def square_sums(rng: np.random.Generator, rho, sigma, x: np.ndarray,
+                T: int) -> np.ndarray:
+    """Step the AR(1) rows of x in place T times and return each row's
+    sum over t = 1..T of |x_t|^2.
+
+    x is (rows, modes) and holds X_0 on entry and X_T on return; rho and
+    sigma are scalars or per-mode vectors.  Step t draws one fresh
+    (rows, modes) standard normal array xi_t and sets X_t = rho X_{t-1}
+    + sigma xi_t, so the draws are step-major.  The step reuses buffers
+    allocated once, so memory stays O(x.size) for any T.
+    """
+    xi = np.empty_like(x)
+    sq = np.empty(len(x))
+    acc = np.zeros(len(x))
+    for _ in range(T):
+        rng.standard_normal(out=xi)
+        xi *= sigma
+        x *= rho
+        x += xi
+        np.einsum("ij,ij->i", x, x, out=sq)
+        acc += sq
+    return acc
+
+
 def tail_probe(params: AR1Params, T: int, K: float, samples: int,
-               seed: int = 0, chunk: int = 100_000,
-               workers: int = 4) -> dict:
+               seed: int = 0) -> dict:
     """Monte Carlo estimate of -(1/T) log P(S_T > K) for the chain
     started at 0, reported next to the rate function at K.
 
-    Chunks of chains run on a thread pool, each from its own
-    deterministic stream (counter_rng(seed, 7, chunk index)), and the
-    counts are reduced in chunk order, so the result does not depend on
-    the number of workers.  A chunk draws its innovations in consecutive
-    blocks of max(1, _DRAW_BLOCK // T) chains into one reused buffer,
-    row i for chain i; sequential draws from one generator give the
-    values of one (chunk, T) draw, so the counts do not depend on the
-    block size.  Each block runs the recursion X_t = rho X_{t-1} +
-    sigma xi_t down its columns in place, accumulating the sum of X_t^2
-    per chain, so a worker holds about _DRAW_BLOCK values (2 MB) plus a
-    few chunk-length vectors, whatever T is.  The X_t equal those of
-    the direct-form filter (scipy.signal.lfilter) bit for bit; the sum
-    over t is sequential, not pairwise, so S_T can differ from a numpy
-    mean by an ulp and move a count only where S_T lies within an ulp
-    of K.  Fewer than 20 exceedances flags the result as underpowered;
-    zero exceedances report an infinite empirical rate, still flagged,
-    never an error.
+    Chunks of _CHUNK chains run on a pool of _WORKERS threads, each from
+    its own deterministic stream (counter_rng(seed, 7, chunk index)),
+    and the counts are reduced in chunk order, so the result does not
+    depend on the number of workers.  A chunk runs square_sums on a
+    (chunk, 1) state, so its draws are step-major: step t takes the t-th
+    run of chunk values from the stream, and a worker holds a few
+    chunk-length vectors whatever T is.  The X_t equal those of the
+    direct-form filter (scipy.signal.lfilter) run along the time axis of
+    a (T, chunk) draw bit for bit, and S_T sums them in time order as a
+    numpy mean along that axis does.  Fewer than 20 exceedances flags
+    the result as underpowered; zero exceedances report an infinite
+    empirical rate, still flagged, never an error.
     """
     _check_positive_sigma(params)
     stat_mean = params.sigma2 / (1.0 - params.rho ** 2)
@@ -211,37 +230,17 @@ def tail_probe(params: AR1Params, T: int, K: float, samples: int,
     if T < 1 or samples < 1:
         raise ValueError("T and samples must be positive")
     sigma = np.sqrt(params.sigma2)
-
-    sizes = [min(chunk, samples - start)
-             for start in range(0, samples, chunk)]
-
-    rows = max(1, _DRAW_BLOCK // T)
+    sizes = [min(_CHUNK, samples - start)
+             for start in range(0, samples, _CHUNK)]
 
     def run(idx_size):
         idx, size = idx_size
-        rng = counter_rng(seed, 7, idx)
-        buf = np.empty(min(rows, size) * T)
-        x = np.empty(min(rows, size))
-        sq = np.empty_like(x)
-        sq_sum = np.zeros(size)
-        for start in range(0, size, rows):
-            n = min(rows, size - start)
-            xi = buf[:n * T].reshape(n, T)
-            rng.standard_normal(out=xi)
-            xi *= sigma
-            xb, sqb = x[:n], sq[:n]
-            s_sum = sq_sum[start:start + n]
-            xb.fill(0.0)
-            for xi_t in xi.T:
-                xb *= params.rho
-                xb += xi_t
-                np.multiply(xb, xb, out=sqb)
-                s_sum += sqb
+        sq_sum = square_sums(counter_rng(seed, 7, idx), params.rho, sigma,
+                             np.zeros((size, 1)), T)
         return int(np.count_nonzero(sq_sum / T > K))
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        counts = list(pool.map(run, enumerate(sizes)))
-    exceed = sum(counts)
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        exceed = sum(pool.map(run, enumerate(sizes)))
 
     if exceed == 0:
         emp = float("inf")

@@ -199,19 +199,13 @@ def sample_stationary_pinned(basis: Basis, n0: int, rng: np.random.Generator,
     return X @ synth
 
 
-def trajectory_to_csv(traj: Trajectory, path=None):
-    """Columns t, n, u at 12 significant digits, t-major; returns the
-    text when no path is given."""
+def trajectory_to_csv(traj: Trajectory) -> str:
+    """Columns t, n, u at 12 significant digits, t-major."""
     lines = ["t,n,u"]
     for t in range(traj.T + 1):
         for n in range(traj.J):
             lines.append(f"{t},{n},{traj.u[t, n]:.12g}")
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        return text
-    with open(path, "w") as fh:
-        fh.write(text)
-    return None
+    return "\n".join(lines) + "\n"
 
 
 def write_trajectory_binary(traj: Trajectory, path) -> None:

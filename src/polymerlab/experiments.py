@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar1 import (AR1Params, legendre_rate, mode_decompose, rate_function,
-                  reconstruct_centered)
+                  reconstruct_centered, square_sums)
 from .dynamics import (counter_rng, mode_innovation_std, sample_noise,
                        simulate_recursion, solution_formula,
                        stationary_mode_std)
@@ -95,6 +95,13 @@ class StudyConfig:
             raise ConfigError("T must be positive")
         if self.T_list is not None and any(t < 1 for t in self.T_list):
             raise ConfigError("T_list entries must be positive")
+        # a repeated width or horizon would count one cell twice in a fit
+        # or a trend
+        for name in ("J_list", "T_list"):
+            values = getattr(self, name) or ()
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats an entry: "
+                                  + ",".join(map(str, values)))
         if not 0.0 < self.kappa <= 0.5:
             raise ConfigError("kappa must lie in (0, 1/2]")
         if not 0.0 <= self.beta < np.inf:
@@ -232,36 +239,24 @@ def scaling_exact_r2(basis: Basis, T: int,
 
 def _stationary_mode_r(basis: Basis, T: int, reps: int, rng,
                        conv: Convention) -> np.ndarray:
-    """Per-replicate gyration radius of stationary free trajectories,
-    simulated in mode coordinates, time-stepped in place on two
-    (reps, J-1) buffers so memory stays O(reps*J) for any T."""
-    sd = stationary_mode_std(basis, conv)[1:]
+    """Per-replicate gyration radius of stationary free trajectories:
+    an exact stationary draw of the modes m >= 1, stepped by
+    ar1.square_sums, which keeps memory O(reps*J) for any T."""
     sig = mode_innovation_std(basis, conv)[1:]
-    rho = basis.rho[1:]
-    X = rng.standard_normal((reps, len(rho)))
-    X *= sd
-    xi = np.empty_like(X)
-    sq = np.empty(reps)
-    acc = np.zeros(reps)
-    for _ in range(T):
-        rng.standard_normal(out=xi)
-        xi *= sig
-        X *= rho
-        X += xi
-        np.einsum("ij,ij->i", X, X, out=sq)
-        acc += sq
-    return np.sqrt(acc / (T * basis.J))
+    X = rng.standard_normal((reps, basis.J - 1))
+    X *= stationary_mode_std(basis, conv)[1:]
+    return np.sqrt(square_sums(rng, basis.rho[1:], sig, X, T)
+                   / (T * basis.J))
 
 
-def _weighted_rms_quantiles(R: np.ndarray, log_w: np.ndarray,
-                            qs=(0.05, 0.95)):
+def _weighted_rms_quantiles(R: np.ndarray, log_w: np.ndarray):
     wn = np.exp(log_w - log_w.max())
     wn = wn / wn.sum()
     rms = float(np.sqrt(np.dot(wn, R ** 2)))
     order = np.argsort(R)
     cum = np.cumsum(wn[order])
-    quants = [float(R[order][np.searchsorted(cum, q)]) for q in qs]
-    return rms, quants
+    return rms, [float(R[order][np.searchsorted(cum, q)])
+                 for q in (0.05, 0.95)]
 
 
 def _stationary_cell_r(config: StudyConfig, basis: Basis, T: int, key: int,
@@ -403,12 +398,16 @@ _TAIL_FIELDS = ("T", "lower_prob", "lower_se", "lower_count", "upper_prob",
 def run_tail_probes(config: StudyConfig, K1: float, K2: float) -> Report:
     """P(R < K1*J) and P(R > K2*J) across the horizons in T_list, as a
     "tails" Report whose `meta` holds K1, K2 and a nonincreasing-in-T
-    verdict per tail at three combined standard errors.  Horizons run
-    concurrently; the table is assembled in T_list order.  Sampling is
+    verdict per tail at three combined standard errors.  Sampling is
     stationary-start (direct at beta=0, Metropolis otherwise) so horizon
     comparisons are not confounded by the burn-in transient.  An
     output_dir is created before sampling, and tails.csv and tails.jsonl
-    are written to it."""
+    are written to it.
+
+    The horizons run in increasing order in the calling thread.  Each is
+    a mostly pure-Python Metropolis chain that holds the interpreter
+    lock, so a thread per horizon only added lock hand-offs, and took
+    more CPU and wall time than this loop."""
     if not 0.0 <= K1 < K2 < np.inf:
         raise ConfigError("need finite 0 <= K1 < K2")
     if config.T_list is None or len(config.T_list) < 2:
@@ -416,9 +415,7 @@ def run_tail_probes(config: StudyConfig, K1: float, K2: float) -> Report:
                           "horizons")
     if config.output_dir is not None:
         os.makedirs(config.output_dir, exist_ok=True)
-    ts = sorted(config.T_list)
-    with ThreadPoolExecutor(max_workers=min(4, len(ts))) as pool:
-        rows = list(pool.map(lambda T: _tail_cell(config, T, K1, K2), ts))
+    rows = [_tail_cell(config, T, K1, K2) for T in sorted(config.T_list)]
 
     def nonincreasing(side):
         for prev, cur in zip(rows, rows[1:]):
@@ -706,8 +703,6 @@ def parse_report_csv(text: str) -> list:
 
 def _json_line(obj) -> str:
     def clean(v):
-        if isinstance(v, Convention):
-            return v.value
         if isinstance(v, (np.integer,)):
             return int(v)
         if isinstance(v, float):

@@ -24,6 +24,8 @@ from .observables import intersection_counts_batch, near_pairs
 from .spectral import Basis, Convention
 
 SAMPLERS = ("importance", "metropolis", "auto")
+# replicates sample_ensemble runs as one batch
+_CHUNK = 20_000
 
 
 class SamplerDegeneracyError(RuntimeError):
@@ -76,11 +78,13 @@ class WeightedEnsemble:
 
 def _checked_ess(ensemble: WeightedEnsemble, ess_floor: float) -> float:
     """Effective sample size of the weights; raises SamplerDegeneracyError
-    when it is under min(ess_floor, n)."""
+    when it is under min(ess_floor, n) or not a number, as when every log
+    weight is -inf."""
     lw = ensemble.log_weights - ensemble.log_weights.max()
     ess = float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
-    # float slack: uniform weights give ess = n only up to rounding
-    if ess < min(ess_floor, len(ensemble)) * (1.0 - 1e-12):
+    # float slack: uniform weights give ess = n only up to rounding; a nan
+    # ess fails the comparison
+    if not ess >= min(ess_floor, len(ensemble)) * (1.0 - 1e-12):
         raise SamplerDegeneracyError(
             f"effective sample size {ess:.1f} below floor {ess_floor} at "
             f"beta={ensemble.beta}, T={ensemble.T}, J={ensemble.J}")
@@ -121,16 +125,17 @@ def estimate_measure(ensemble: WeightedEnsemble, observable: str = "R",
 
 def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
                     count: int, seed: int, init: str = "zero",
-                    conv: Convention = Convention.LITERAL,
-                    chunk: int = 20_000) -> WeightedEnsemble:
+                    conv: Convention = Convention.LITERAL
+                    ) -> WeightedEnsemble:
     """Importance-sampling ensemble: free trajectories from the base law
     that metropolis_sampler targets (same init and convention), with
     Boltzmann log weights attached.  init "stationary" draws the first
     row from the exact stationary law of the modes m >= 1.  Chunks of
-    `count` run as one batch each, accumulating R and the pair counts
-    across time in place on four (chunk, J) buffers (the profile, the
-    Laplacian, the noise and the deviation), so memory stays O(chunk*J)
-    for any T and a step allocates nothing but its pair count.
+    _CHUNK replicates run as one batch each, accumulating R and the pair
+    counts across time in place on four (chunk, J) buffers (the profile,
+    the Laplacian, the noise and the deviation), so memory stays
+    O(chunk*J) for any T and a step allocates nothing but its pair
+    count.
 
     The pair count runs in the calling thread.  On a worker thread
     beside the recursion it cut the op by 40 % on an idle 2-core host,
@@ -148,8 +153,8 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
            else mode_innovation_std(basis, conv))
     rng = counter_rng(seed)
     Rs, Ns = [], []
-    for done in range(0, count, chunk):
-        c = min(chunk, count - done)
+    for done in range(0, count, _CHUNK):
+        c = min(_CHUNK, count - done)
         u = (sample_stationary_field(basis, rng, c, conv)
              if init == "stationary" else np.zeros((c, J)))
         lap = np.empty((c, J))

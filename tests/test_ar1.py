@@ -237,82 +237,55 @@ def test_tail_probe_counts_and_rate():
     assert 0 < out["empirical_log_prob_over_T"] < np.inf
 
 
-def test_tail_probe_thread_count_invariant():
+def test_tail_probe_thread_count_invariant(monkeypatch):
     p = AR1Params(rho=0.3, sigma2=1.0)
-    kw = dict(T=8, K=2.5, samples=60_000, seed=5, chunk=10_000)
-    a = tail_probe(p, workers=1, **kw)
-    b = tail_probe(p, workers=4, **kw)
+    kw = dict(T=8, K=2.5, samples=60_000, seed=5)
+    monkeypatch.setattr(ar1, "_CHUNK", 10_000)
+    monkeypatch.setattr(ar1, "_WORKERS", 1)
+    a = tail_probe(p, **kw)
+    monkeypatch.setattr(ar1, "_WORKERS", 4)
+    b = tail_probe(p, **kw)
     assert a == b
 
 
 def _lfilter_exceedances(params, T, K, samples, seed, chunk):
-    """Oracle: the same per-chunk draws run through scipy's direct filter,
-    with S_T as the numpy mean of the filtered (chunk, T) array."""
+    """Oracle: the same per-chunk draws, step-major as a (T, chunk)
+    array, run through scipy's direct filter along the time axis, with
+    S_T as the numpy mean over that axis."""
     sigma = np.sqrt(params.sigma2)
     total = 0
     for idx, start in enumerate(range(0, samples, chunk)):
         xi = counter_rng(seed, 7, idx).standard_normal(
-            (min(chunk, samples - start), T))
-        x = lfilter([sigma], [1.0, -params.rho], xi, axis=1)
-        total += int(np.count_nonzero(np.mean(x * x, axis=1) > K))
+            (T, min(chunk, samples - start)))
+        x = lfilter([sigma], [1.0, -params.rho], xi, axis=0)
+        total += int(np.count_nonzero(np.mean(x * x, axis=0) > K))
     return total
 
 
 @pytest.mark.parametrize("rho, sigma2, T, K", [(0.6, 1.0, 30, 2.5),
-                                               (-0.9, 2.0, 20, 17.0)])
+                                               (-0.9, 2.0, 20, 17.0),
+                                               (0.6, 1.0, 1, 2.5)])
 @pytest.mark.parametrize("seed", [0, 11])
-def test_tail_probe_counts_equal_lfilter(rho, sigma2, T, K, seed):
+def test_tail_probe_counts_equal_lfilter(monkeypatch, rho, sigma2, T, K,
+                                         seed):
+    # chunks of 40_000 leave a ragged last chunk of 30_000
     p = AR1Params(rho=rho, sigma2=sigma2)
-    kw = dict(T=T, K=K, samples=150_000, seed=seed, chunk=40_000)
-    out = tail_probe(p, workers=2, **kw)
+    monkeypatch.setattr(ar1, "_CHUNK", 40_000)
+    kw = dict(T=T, K=K, samples=150_000, seed=seed)
+    out = tail_probe(p, **kw)
     assert out["exceedances"] > 100
-    assert out["exceedances"] == _lfilter_exceedances(p, **kw)
+    assert out["exceedances"] == _lfilter_exceedances(p, chunk=40_000, **kw)
 
 
-def _one_draw_exceedances(params, T, K, samples, seed, chunk):
-    """Oracle: the probe's loop as it was before it drew in blocks, one
-    (chunk, T) draw per chunk and fresh arrays at every step."""
-    sigma = np.sqrt(params.sigma2)
-    total = 0
-    for idx, start in enumerate(range(0, samples, chunk)):
-        size = min(chunk, samples - start)
-        rng = counter_rng(seed, 7, idx)
-        x = np.zeros(size)
-        sq_sum = np.zeros(size)
-        for xi_t in rng.standard_normal((size, T)).T:
-            x = params.rho * x + sigma * xi_t
-            sq_sum = sq_sum + x * x
-        total += int(np.count_nonzero(sq_sum / T > K))
-    return total
-
-
-@pytest.mark.parametrize("rho, sigma2, T, K", [(0.6, 1.0, 30, 2.5),
-                                               (-0.9, 2.0, 20, 13.0)])
-@pytest.mark.parametrize("rows", [7, 1])
-def test_tail_probe_blocks_equal_one_draw(monkeypatch, rho, sigma2, T, K,
-                                          rows):
-    # chunks of 1000, 1000 and 3 chains: 7-chain blocks leave a ragged
-    # block of 6, and the last chunk is one short block; a block smaller
-    # than T rounds up to one chain per block
-    p = AR1Params(rho=rho, sigma2=sigma2)
-    kw = dict(T=T, K=K, samples=2_003, seed=4, chunk=1_000)
-    whole = tail_probe(p, workers=2, **kw)
-    monkeypatch.setattr(ar1, "_DRAW_BLOCK", rows * T + 2 if rows > 1
-                        else T - 1)
-    blocked = tail_probe(p, workers=2, **kw)
-    assert blocked["exceedances"] > 50
-    assert blocked == whole
-    assert blocked["exceedances"] == _one_draw_exceedances(p, **kw)
-
-
-def test_tail_probe_working_set_is_bounded():
+def test_tail_probe_working_set_is_bounded(monkeypatch):
     # one (chunk, T) draw would hold 50_000 * 400 * 8 B = 160 MB; numpy
     # reports its buffers to tracemalloc
     p = AR1Params(rho=0.6, sigma2=1.0)
+    monkeypatch.setattr(ar1, "_CHUNK", 50_000)
+    monkeypatch.setattr(ar1, "_WORKERS", 1)
     tracemalloc.start()
     try:
-        tail_probe(p, T=400, K=3.0, samples=50_000, seed=1, chunk=50_000,
-                   workers=1)
+        tail_probe(p, T=400, K=3.0, samples=50_000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

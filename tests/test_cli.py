@@ -172,7 +172,11 @@ def test_bad_flag_value_exits_two(capsys):
                  ("ldp", "--x=-1,inf"), ("ldp", "--x", "nan"),
                  ("simulate", "--T", "2", "--drift", "nan"),
                  ("ldp", "--K", "inf"),
-                 ("tails", "--T-list", "4,8", "--K2", "inf")):
+                 ("tails", "--T-list", "4,8", "--K2", "inf"),
+                 ("scaling", "--J", "8,8,16", "--T", "4", "--replicates",
+                  "10"),
+                 ("scaling", "--J", "8,8,8", "--T", "4", "--replicates",
+                  "10")):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "configuration error" in err

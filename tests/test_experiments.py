@@ -82,7 +82,8 @@ def test_config_validation():
     for kw in ({"kappa": 0.7}, {"beta": -0.1}, {"epsilon": 0.0},
                {"J_list": ()}, {"J_list": (1, 4)}, {"T": 0},
                {"sampler": "bogus"}, {"replicates": 0},
-               {"T_list": (0, 4)}, {"ess_floor": 0.0},
+               {"T_list": (0, 4)}, {"T_list": (4, 8, 4)},
+               {"ess_floor": 0.0},
                {"beta": np.inf}, {"beta": np.nan}, {"epsilon": np.inf},
                {"epsilon": np.nan}):
         with pytest.raises(ConfigError):
@@ -307,7 +308,7 @@ def test_emit_report_bad_format(tmp_path):
 
 
 def test_json_lines_are_compact_and_sorted():
-    line = ex._json_line({"b": 1.0 / 3.0, "a": Convention.PAPER})
+    line = ex._json_line({"b": 1.0 / 3.0, "a": "paper"})
     obj = json.loads(line)
     assert " " not in line
     assert obj["a"] == "paper"

@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from polymerlab.gibbs import (SamplerDegeneracyError, WeightedEnsemble,
                               logsumexp, metropolis_accept,
                               metropolis_sampler, sample_ensemble,
                               sample_measure)
-from polymerlab import observables
+from polymerlab import gibbs, observables
 from polymerlab.observables import intersection_counts_batch
 from polymerlab.spectral import Convention, build_basis
 
@@ -110,6 +111,12 @@ def test_ess_floor_raises():
                            J=2, T=2)
     with pytest.raises(SamplerDegeneracyError):
         estimate_measure(ens, "R", ess_floor=50.0)
+    # every log weight -inf, as -beta * N gives once beta * N overflows:
+    # the ESS is nan and must not pass the floor
+    ens = replace(ens, log_weights=np.full(100, -np.inf))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(SamplerDegeneracyError):
+        estimate_measure(ens, "R", ess_floor=50.0)
 
 
 def test_sample_ensemble_deterministic():
@@ -120,9 +127,10 @@ def test_sample_ensemble_deterministic():
     assert np.array_equal(a.log_weights, b.log_weights)
 
 
-def test_chunk_remainder_handled():
+def test_chunk_remainder_handled(monkeypatch):
+    monkeypatch.setattr(gibbs, "_CHUNK", 7)
     ens = sample_ensemble(build_basis(3), T=4, beta=0.1, epsilon=0.5,
-                          count=50, seed=2, chunk=7)
+                          count=50, seed=2)
     assert len(ens) == 50
     assert np.all(np.isfinite(ens.obs["R"]))
     assert np.all(ens.obs["N_sum"] >= 4 * 3)      # self pairs at least
@@ -166,11 +174,12 @@ def _ensemble_oracle(basis, T, epsilon, count, seed, init, conv, chunk):
     pytest.param(40, 9, 53, 20, id="40"),
     pytest.param(128, 3, 1100, 600, id="128"),
 ])
-def test_sample_ensemble_equals_allocating_oracle(conv, init, J, T, count,
-                                                  chunk):
+def test_sample_ensemble_equals_allocating_oracle(monkeypatch, conv, init, J,
+                                                  T, count, chunk):
     b = build_basis(J)
+    monkeypatch.setattr(gibbs, "_CHUNK", chunk)
     ens = sample_ensemble(b, T=T, beta=0.1, epsilon=0.5, count=count,
-                          seed=6, init=init, conv=conv, chunk=chunk)
+                          seed=6, init=init, conv=conv)
     R, n_sum = _ensemble_oracle(b, T, 0.5, count, 6, init, conv, chunk)
     assert np.array_equal(ens.obs["R"], R)
     assert np.array_equal(ens.obs["N_sum"], n_sum)
@@ -206,19 +215,20 @@ def test_sample_ensemble_checks_epsilon_before_any_step():
     assert not step.called and not count.called
 
 
-def test_sample_ensemble_is_exact_under_thread_contention():
+def test_sample_ensemble_is_exact_under_thread_contention(monkeypatch):
     # four concurrent calls on 2 cores, switching threads every
     # microsecond: calls that shared a buffer or a generator would change
     # R or N_sum
     b = build_basis(128)
     R, n_sum = _ensemble_oracle(b, 4, 0.5, 700, 3, "zero",
                                 Convention.LITERAL, 600)
+    monkeypatch.setattr(gibbs, "_CHUNK", 600)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            runs = [pool.submit(sample_ensemble, b, 4, 0.1, 0.5, 700, 3,
-                                chunk=600) for _ in range(4)]
+            runs = [pool.submit(sample_ensemble, b, 4, 0.1, 0.5, 700, 3)
+                    for _ in range(4)]
             done = [run.result(timeout=120) for run in runs]
     finally:
         sys.setswitchinterval(interval)
