@@ -14,6 +14,7 @@ second moment of the UNIT-variance chain, for every sigma.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -99,38 +100,45 @@ def _check_positive_sigma(params: AR1Params):
 def rate_function(params: AR1Params, x):
     """Large-deviation rate of S_T = (1/T) sum X_t^2.
 
-    Unit-variance normal form for x > 0:
+    Unit-variance normal form for x > 0, with R = sqrt(4 rho^2 x^2 + 1):
 
-        I(x) = -1/2 ln(2x / (1 + sqrt(4 rho^2 x^2 + 1)))
-               + 1/2 [(rho^2 + 1) x - sqrt(4 rho^2 x^2 + 1)]
+        I(x) = -1/2 ln(2x / (1 + R)) + 1/2 [(rho^2 + 1) x - R]
+             = -1/2 ln(2x / (1 + R))
+               + 1/2 [(1 - |rho|)^2 x - 1 / (2 |rho| x + R)]
 
+    the second line without the cancellation of the first as |rho| -> 1.
     +inf for x <= 0 and at x = +inf; general variance by I(x / sigma2).
-    Vanishes exactly at the stationary mean.  A nan x raises ValueError.
-    x is taken as (x / 4) / sigma2, so an x or x / sigma2 below about
-    1e-323, where that underflows to zero, also gives +inf.
+    Vanishes at the stationary mean up to rounding.  A nan x raises
+    ValueError.  x / sigma2 is taken as y / s with y = x (s / sigma2) and
+    s a power of two; y is at least min(x, x / sigma2) / 8, so where that
+    is below about 1e-322, y can underflow to zero and the rate is +inf.
     """
     _check_positive_sigma(params)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    # hypot, not sqrt(4 rho^2 x^2 + 1): x^2 overflows above ~1.3e154.
-    # x / sigma2, 2x and (rho^2 + 1) x overflow near the float maximum, so
-    # every term is scaled by s = 1/4, x before the division; a power of
-    # two keeps the bits
-    s = 0.25
-    y = np.atleast_1d(x) * s / params.sigma2
-    if np.isnan(y).any():
+    if np.isnan(x).any():
         raise ValueError("rate_function is undefined at x = nan")
+    # hypot, not sqrt(4 rho^2 x^2 + 1): x^2 overflows above ~1.3e154.
+    # x / sigma2 can pass the float maximum where the rate is finite, so
+    # y = x / sigma2 scaled by s, a power of two with s / sigma2 at most
+    # 1/4 (and above 1/8 for normal sigma2 < 1), which keeps 2y and
+    # hypot's argument finite; the linear term (0.5 / s) a y is formed
+    # last and overflows only with the rate.  s stays a normal float
+    s = min(0.25, math.ldexp(1.0, max(math.frexp(params.sigma2)[1] - 3,
+                                      -1022)))
+    y = np.atleast_1d(x) * (s / params.sigma2)
     out = np.full(y.shape, np.inf)
     pos = (y > 0.0) & (y < np.inf)
     y = y[pos]
-    root = np.hypot(2.0 * params.rho * y, s)         # s * sqrt(...)
+    r = abs(params.rho)
+    root = np.hypot(2.0 * r * y, s)                  # s * R
     # the log's argument, at most x / sigma2, passes the float maximum
     # only near rho = 0, where the rate is then above 2^1022: capping the
     # argument there changes no bit of the rate
     with np.errstate(over="ignore"):
         arg = np.minimum(2.0 * y / (s + root), np.finfo(float).max)
-    out[pos] = (-0.5 * np.log(arg)
-                + (0.5 / s) * ((params.rho ** 2 + 1.0) * y - root))
+        linear = (0.5 / s) * ((1.0 - r) ** 2 * y)
+    out[pos] = -0.5 * np.log(arg) + (linear - 0.5 * s / (2.0 * r * y + root))
     return float(out[0]) if scalar else out
 
 

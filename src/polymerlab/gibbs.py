@@ -80,7 +80,9 @@ def _checked_ess(ensemble: WeightedEnsemble, ess_floor: float) -> float:
     """Effective sample size of the weights; raises SamplerDegeneracyError
     when it is under min(ess_floor, n) or not a number, as when every log
     weight is -inf."""
-    lw = ensemble.log_weights - ensemble.log_weights.max()
+    # all -inf weights (beta * N_sum overflowed) give nan, not a warning
+    with np.errstate(invalid="ignore"):
+        lw = ensemble.log_weights - ensemble.log_weights.max()
     ess = float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
     # float slack: uniform weights give ess = n only up to rounding; a nan
     # ess fails the comparison
@@ -184,8 +186,11 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
         Rs.append(np.sqrt(sq_acc / (T * J)))
         Ns.append(n_acc)
     n_sum = np.concatenate(Ns)
+    # a huge beta gives -inf log weights, which _checked_ess reports
+    with np.errstate(over="ignore"):
+        log_w = -beta * n_sum.astype(float)
     return WeightedEnsemble(obs={"R": np.concatenate(Rs), "N_sum": n_sum},
-                            log_weights=-beta * n_sum.astype(float),
+                            log_weights=log_w,
                             beta=beta, epsilon=epsilon, base_measure="P_T",
                             J=J, T=T)
 
@@ -248,42 +253,41 @@ def jensen_lower_bound(basis: Basis, T: int, beta: float, epsilon: float,
             "ess": est["ess"], "stationary_mean_pairs": en}
 
 
-def metropolis_accept(rng: np.random.Generator, delta_log: float) -> bool:
-    """Accept with probability min(1, exp(delta_log))."""
-    if delta_log >= 0:
-        return True
-    return rng.random() < np.exp(delta_log)
-
-
 class _NoiseChain:
     """Metropolis state over the white-noise representation of a string.
 
     The state is the field noise xi (T x J standard normals) plus, under
-    stationary initialization, a white vector for the initial modes.
-    Proposals mix a scaled fresh draw into part of the state,
-    x' = sqrt(1-s^2) x + s z, which leaves the Gaussian base invariant;
-    the acceptance ratio then reduces to the Boltzmann factor alone.
+    stationary initialization, a white vector w0 for the initial modes.
+    Proposals are preconditioned Crank-Nicolson moves: they mix a scaled
+    fresh draw into part of the state, x' = keep x + scale z with
+    keep = sqrt(1 - scale^2), which leaves the Gaussian base invariant, so
+    the acceptance ratio reduces to the Boltzmann factor alone.
 
     Modes m >= 1 are evolved; the mean mode shifts every site equally and
-    affects neither the weight nor any reported observable.  The cached
-    mode trajectory is rebuilt from the white state at every recorded
-    sample so incremental float drift cannot accumulate.
+    affects neither the weight nor any reported observable.  A change c
+    of the mode innovation at row s moves the sites of rows s.. by
+    (rho^k c) @ e1, k = 0, 1, ..., and the initial-vector move by
+    rho^(k+1) c; sweeps add these to the rows u (times 1..T) in place and
+    keep no mode trajectory.  _rebuild() evolves the modes from the white
+    state and runs before every recorded sample, so the float drift of
+    the in-place updates (about 1e-13) never reaches a recorded R or N.
 
-    The pair state is the near-pair mask of the rows u (times 1..T), from
+    The pair state is the near-pair mask of the rows u, from
     observables.near_pairs.  A row's near-pair count is J + 2 * (its mask
     sum), so a tail update of rows s.. has log ratio
-    -beta * 2 * (count_nonzero(new mask) - count_nonzero(near[s:])),
-    and no per-row sum is taken.  The mask compares the same rounded
-    differences as intersection_counts_batch on the always finite rows,
-    so the chain's draws and decisions are those of a per-row count.
+    -beta * 2 * (count_nonzero(new mask) - count_nonzero(near[s:])), and
+    no per-row sum is taken.  The mask compares the same rounded
+    differences as intersection_counts_batch on the always finite rows.
     """
 
-    def __init__(self, basis, T, beta, epsilon, rng, init, conv):
-        self.basis = basis
+    def __init__(self, basis, T, beta, epsilon, rng, init, conv, scale):
         self.T = T
+        self.J = basis.J
         self.beta = beta
         self.epsilon = epsilon
         self.rng = rng
+        self.scale = scale
+        self.keep = float(np.sqrt(1.0 - scale * scale))
         self.rho = basis.rho[1:]
         self.sig = mode_innovation_std(basis, conv)[1:]
         self.e1 = basis.e[1:]
@@ -301,62 +305,74 @@ class _NoiseChain:
         self._rebuild()
 
     def _rebuild(self):
-        T = self.T
+        """Rows u and their mask, evolved from the white state."""
         xim = self.xi @ self.e1.T            # per-row mode innovations
-        X = np.empty((T + 1, len(self.rho)))
-        X[0] = self.w0 * self.x0_scale
-        for t in range(T):
-            X[t + 1] = self.rho * X[t] + self.sig * xim[t]
-        self.X = X
-        self.u = X[1:] @ self.e1
+        x = self.w0 * self.x0_scale
+        X = np.empty((self.T, len(self.rho)))
+        for t in range(self.T):
+            x = X[t] = self.rho * x + self.sig * xim[t]
+        self.u = X @ self.e1
         self.near = near_pairs(self.u, self.epsilon)
 
-    def _try_tail(self, s, shift):
-        """Accept/reject adding shift to rows s+1..T of the mode
-        trajectory, the rows a change at row s moves."""
-        new_X = self.X[s + 1:] + shift
-        new_u = new_X @ self.e1
+    def _propose(self, s, lag0, c, tail, log_v):
+        """Accept/reject moving rows s.. by (rho^(lag0 + k) c) @ e1, whose
+        mask holds tail near pairs now.  Returns the tail's near-pair
+        count after the decision and whether the move was accepted."""
+        new_u = (self.rho_pow[lag0:lag0 + self.T - s] * c) @ self.e1
+        new_u += self.u[s:]
         new_near = near_pairs(new_u, self.epsilon)
-        d_log = -self.beta * float(2 * (np.count_nonzero(new_near)
-                                        - np.count_nonzero(self.near[s:])))
-        if not metropolis_accept(self.rng, d_log):
-            return False
-        self.X[s + 1:] = new_X
+        count = int(np.count_nonzero(new_near))
+        d = count - tail
+        if d > 0 and not log_v < -2.0 * self.beta * d:
+            return tail, False
         self.u[s:] = new_u
         self.near[s:] = new_near
-        return True
+        return count, True
 
-    def row_move(self, s, scale):
-        keep = np.sqrt(1.0 - scale * scale)
-        new_row = keep * self.xi[s] + scale * self.rng.standard_normal(
-            self.basis.J)
-        delta_modes = (new_row - self.xi[s]) @ self.e1.T
-        shift = self.rho_pow[:self.T - s] * (self.sig * delta_modes)
-        if self._try_tail(s, shift):
-            self.xi[s] = new_row
-            return True
-        return False
-
-    def entry_move(self, s, n, scale):
-        keep = np.sqrt(1.0 - scale * scale)
-        new_val = keep * self.xi[s, n] + scale * self.rng.standard_normal()
-        delta_modes = self.e1[:, n] * (new_val - self.xi[s, n])
-        shift = self.rho_pow[:self.T - s] * (self.sig * delta_modes)
-        if self._try_tail(s, shift):
-            self.xi[s, n] = new_val
-            return True
-        return False
-
-    def init_move(self, scale):
-        keep = np.sqrt(1.0 - scale * scale)
-        new_w0 = keep * self.w0 + scale * self.rng.standard_normal(
-            len(self.rho))
-        delta0 = (new_w0 - self.w0) * self.x0_scale
-        if self._try_tail(0, self.rho_pow[1:] * delta0):
-            self.w0 = new_w0
-            self.X[0] = new_w0 * self.x0_scale
-            return True
-        return False
+    def sweep(self):
+        """One sweep: at each row s a whole-row move, then a move of one
+        entry at a uniform site, and under stationary initialization a
+        final initial-vector move.  Every random number of the sweep is
+        drawn up front, in this order: the row moves' (T, J) normals, the
+        entries' T sites, their T normals and one uniform per proposal
+        (2T + 1); the initial-vector move's J - 1 normals follow the
+        scan.  A proposal that adds d near pairs is accepted when d <= 0
+        or log V < -2 beta d.  Returns the number of accepted proposals.
+        """
+        T, rng, xi, sig = self.T, self.rng, self.xi, self.sig
+        Z = rng.standard_normal((T, self.J))
+        sites = rng.integers(self.J, size=T).tolist()
+        z1 = (self.scale * rng.standard_normal(T)).tolist()
+        log_v = np.log(rng.random(2 * T + 1)).tolist()
+        # xi[s] changes only at row s, so every row move is known up front
+        new_rows = self.keep * xi + self.scale * Z
+        C = ((new_rows - xi) @ self.e1.T) * sig
+        tail = int(np.count_nonzero(self.near))
+        accepted = 0
+        for s in range(T):
+            tail, ok = self._propose(s, 0, C[s], tail, log_v[2 * s])
+            if ok:
+                xi[s] = new_rows[s]
+                accepted += 1
+            n = sites[s]
+            old = float(xi[s, n])
+            new = self.keep * old + z1[s]
+            tail, ok = self._propose(s, 0, self.e1[:, n] * (new - old) * sig,
+                                     tail, log_v[2 * s + 1])
+            if ok:
+                xi[s, n] = new
+                accepted += 1
+            tail -= int(np.count_nonzero(self.near[s]))
+        if self.init == "stationary":
+            new_w0 = self.keep * self.w0 + self.scale * rng.standard_normal(
+                len(self.rho))
+            _, ok = self._propose(0, 1, (new_w0 - self.w0) * self.x0_scale,
+                                  int(np.count_nonzero(self.near)),
+                                  log_v[2 * T])
+            if ok:
+                self.w0 = new_w0
+                accepted += 1
+        return accepted
 
 
 def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,
@@ -368,37 +384,34 @@ def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,
     """Metropolis chain targeting the repelling measure; returns thinned
     samples with unit weights and acceptance diagnostics.
 
-    One sweep is a systematic scan of innovation-row proposals with one
-    single-entry proposal per row at a random site, plus, under
-    stationary initialization, one initial-vector proposal.  An
-    acceptance rate outside [0.05, 0.95] triggers a tuning warning, not
-    a failure.
+    One sweep (_NoiseChain.sweep) is a systematic scan of innovation-row
+    proposals with one single-entry proposal per row at a random site,
+    plus, under stationary initialization, one initial-vector proposal:
+    2T (+1) proposals, whose random numbers are drawn as one block per
+    sweep.  Proposals move the site rows in place; before each recorded
+    sample the rows are rebuilt from the white state, so R and N_sum are
+    exact functions of it.  An acceptance rate outside [0.05, 0.95]
+    triggers a tuning warning, not a failure.
     """
     if not (0.0 < proposal_scale <= 1.0):
         raise ValueError("proposal scale must lie in (0, 1]")
     J = basis.J
     rng = counter_rng(seed, 2)
-    chain = _NoiseChain(basis, T, beta, epsilon, rng, init, conv)
+    chain = _NoiseChain(basis, T, beta, epsilon, rng, init, conv,
+                        proposal_scale)
     accepted = 0
-    proposed = 0
     Rs = np.empty(n_samples)
     Ns = np.empty(n_samples, dtype=np.int64)
     sweeps = burnin + n_samples * thin
     k = 0
     for sweep in range(sweeps):
-        for s in range(T):
-            accepted += chain.row_move(s, proposal_scale)
-            accepted += chain.entry_move(s, int(rng.integers(J)),
-                                         proposal_scale)
-            proposed += 2
-        if init == "stationary":
-            accepted += chain.init_move(proposal_scale)
-            proposed += 1
+        accepted += chain.sweep()
         if sweep >= burnin and (sweep - burnin) % thin == thin - 1:
+            chain._rebuild()
             Rs[k] = np.sqrt(np.mean(chain.u ** 2))
             Ns[k] = T * J + 2 * np.count_nonzero(chain.near)
             k += 1
-            chain._rebuild()
+    proposed = sweeps * (2 * T + (init == "stationary"))
     rate = accepted / proposed
     if not (0.05 <= rate <= 0.95) and beta > 0:
         warnings.warn(f"Metropolis acceptance rate {rate:.3f} outside "

@@ -3,6 +3,7 @@ import re
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 _outcomes = {}
+_durations = {}
 
 
 def pytest_runtest_logreport(report):
@@ -12,6 +13,7 @@ def pytest_runtest_logreport(report):
     n = int(m.group(1))
     if report.when == "call":
         _outcomes[n] = report.outcome
+        _durations[n] = report.duration
     elif report.when == "setup" and report.outcome != "passed":
         _outcomes[n] = report.outcome
 
@@ -22,4 +24,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for n in sorted(_outcomes):
         verdict = "PASS" if _outcomes[n] == "passed" else "FAIL"
-        terminalreporter.write_line(f"[criterion {n}] {verdict}")
+        line = f"[criterion {n}] {verdict}"
+        if n in _durations:
+            line += f" {_durations[n]:.1f} s"
+        terminalreporter.write_line(line)

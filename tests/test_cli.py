@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,20 @@ def test_gibbs_rejects_drift(capsys):
               "--sampler", "importance", "--replicates", "200"])
     assert exc.value.code == 2
     assert "--drift" in capsys.readouterr().err
+
+
+def test_gibbs_degenerate_beta_prints_only_the_typed_message(capsys):
+    # beta * N_sum overflows to -inf log weights and the ESS is nan: the
+    # typed message is the whole of stderr, with no numpy warning before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "gibbs", "--J", "8", "--T", "4",
+                             "--replicates", "3", "--beta", "1e308",
+                             "--sampler", "importance")
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith("sampler degeneracy: ")
+    assert err.count("\n") == 1 and out == ""
 
 
 def test_gibbs_auto_keeps_importance_for_uniform_weights(capsys):
