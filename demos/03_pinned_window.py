@@ -1,22 +1,23 @@
-"""Local observables on one stationary row of the string pinned at a site.
+"""Local observables on one stationary row, shifted to vanish at a site.
 
-Draws a row from the exact stationary law conditioned to vanish at the
-middle site, then exercises the local observables on it: near-pair
-counts, occupancy histograms, and the pair-count lower bound through bin
-occupancies.
+Draws a row from the exact stationary law, shifted by its middle value
+so that it vanishes at the middle site, then exercises the local
+observables on it: near-pair counts, occupancy histograms, and the
+pair-count lower bound through bin occupancies.
 """
 
-from polymerlab import (build_basis, counter_rng, local_inequality_check,
-                        occupancy_histogram, sample_stationary_pinned,
+from polymerlab import (Convention, build_basis, counter_rng, free_modes,
+                        local_inequality_check, occupancy_histogram,
                         self_intersection_count)
 
 
 def main():
     J = 16
-    b = build_basis(J)
-    row = sample_stationary_pinned(b, J // 2, counter_rng(5), 1)[0]
-    print(f"pinned stationary row: u[{J // 2}] = "
-          f"{row[J // 2]:+.2e} (pinned to 0)")
+    modes = free_modes(build_basis(J), Convention.LITERAL, "stationary")
+    row = (modes.start(counter_rng(5), 1) @ modes.e1)[0]
+    row = row - row[J // 2]
+    print(f"shifted stationary row: u[{J // 2}] = "
+          f"{row[J // 2]:+.2e} (shifted to 0)")
 
     eps = 0.75
     n_pairs = self_intersection_count(row, 0, eps)

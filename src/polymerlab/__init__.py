@@ -13,12 +13,10 @@ from .ar1 import (AR1Params, DegenerateProcessError, ModeProcess,
                   ar1_params_for_mode, cumulant_threshold, legendre_rate,
                   mode_decompose, rate_function, reconstruct_centered,
                   tail_probe)
-from .dynamics import (NoiseField, Trajectory, counter_rng,
-                       mode_innovation_std, neumann_laplacian,
+from .dynamics import (FreeModes, NoiseField, Trajectory, counter_rng,
+                       free_modes, mode_innovation_std, neumann_laplacian,
                        read_trajectory_binary, sample_noise,
-                       sample_stationary_field, sample_stationary_pinned,
                        simulate_recursion, solution_formula,
-                       stationary_mode_std, trajectory_to_csv,
                        write_trajectory_binary)
 from .experiments import (ConfigError, Report, StudyConfig, emit_report,
                           load_config, parse_config_text, parse_report_csv,

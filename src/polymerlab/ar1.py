@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import counter_rng, mode_innovation_std
+from .dynamics import counter_rng, free_modes
 from .spectral import Basis, Convention
 
 _LEGENDRE_GRID = 20_001
@@ -63,8 +63,9 @@ def ar1_params_for_mode(basis: Basis, m: int,
     """Autoregression coefficient and innovation variance of mode m."""
     if not 1 <= m <= basis.J - 1:
         raise ValueError(f"mode index must lie in 1..{basis.J - 1}")
-    sig = mode_innovation_std(basis, conv)[m]
-    return AR1Params(rho=float(basis.rho[m]), sigma2=float(sig * sig))
+    modes = free_modes(basis, conv, "zero")
+    return AR1Params(rho=float(modes.rho[m - 1]),
+                     sigma2=float(modes.sig[m - 1] ** 2))
 
 
 def mode_decompose(traj, basis: Basis) -> list:
@@ -143,9 +144,11 @@ def rate_function(params: AR1Params, x):
 
 
 def cumulant_threshold(params: AR1Params) -> float:
-    """Largest tilt with a finite limiting cumulant: (1-rho)^2/(2 sigma2)."""
+    """Largest tilt with a finite limiting cumulant:
+    (1-|rho|)^2/(2 sigma2); the cumulant depends on rho only through
+    rho^2."""
     _check_positive_sigma(params)
-    return (1.0 - params.rho) ** 2 / (2.0 * params.sigma2)
+    return (1.0 - abs(params.rho)) ** 2 / (2.0 * params.sigma2)
 
 
 def _cumulant_grid(params: AR1Params, ys: np.ndarray) -> np.ndarray:

@@ -16,8 +16,7 @@ import sys
 import numpy as np
 
 from .ar1 import AR1Params, rate_function, tail_probe
-from .dynamics import (sample_noise, simulate_recursion, trajectory_to_csv,
-                       write_trajectory_binary)
+from .dynamics import sample_noise, simulate_recursion, write_trajectory_binary
 from .experiments import (_FIELD_PARSERS, ConfigError, _json_line,
                           _parse_list, load_config, quantize12, rows_to_csv,
                           run_scaling_study, run_tail_probes,
@@ -98,7 +97,9 @@ def _cmd_simulate(cfg, args) -> int:
     noise = sample_noise(cfg.seed, cfg.T, J, args.drift)
     traj = simulate_recursion(np.zeros(J), noise, cfg.kappa)
     if args.format == "csv":
-        _write_or_print(trajectory_to_csv(traj), cfg.output_dir,
+        rows = ({"t": t, "n": n, "u": u} for t, row in enumerate(traj.u)
+                for n, u in enumerate(row))
+        _write_or_print(rows_to_csv(("t", "n", "u"), rows), cfg.output_dir,
                         "trajectory.csv")
     else:
         if cfg.output_dir is None:

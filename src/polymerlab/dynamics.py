@@ -1,6 +1,5 @@
 """Noise generation, the forward height recursion, closed-form solutions,
-exact stationary sampling (free, or pinned to zero at one site) and file
-IO of the random string.
+the free law of the modes and binary file IO of the random string.
 
 The field u(t, n) on {0..T} x {0..J-1} evolves by
 
@@ -9,8 +8,8 @@ The field u(t, n) on {0..T} x {0..J-1} evolves by
 with Neumann ghost cells u(t, -1) = u(t, 0) and u(t, J) = u(t, J-1), and
 iid standard normal xi (optionally mean-shifted by a drift a).  In the
 orthonormal mode basis e_m the recursion decouples into AR(1) chains
-X_{t+1} = rho_m X_t + innovation, which is what the stationary samplers
-exploit.
+X_{t+1} = rho_m X_t + innovation; free_modes gives their law, from
+which every sampler and closed form of the free string starts.
 """
 
 from __future__ import annotations
@@ -163,49 +162,46 @@ def mode_innovation_std(basis: Basis, conv: Convention) -> np.ndarray:
     return np.abs(basis.rho) * np.sqrt(basis.J / 2.0)
 
 
-def stationary_mode_std(basis: Basis, conv: Convention) -> np.ndarray:
-    """Stationary standard deviation per mode; mode 0 (a random walk) has
-    no stationary law and is reported as inf."""
-    rho = basis.rho
-    out = np.empty(basis.J)
-    out[0] = np.inf
+@dataclass(frozen=True)
+class FreeModes:
+    """The free law of the modes m >= 1: X_t = rho X_(t-1) + sig xi_t with
+    standard normal xi_t, from X_0 = x0 w with w standard normal.  x0 is
+    the stationary deviation sig / sqrt(1 - rho^2), or 0 for the zero
+    start.  rho, sig and x0 have length J - 1; e1 is the (J - 1, J)
+    mode-to-site matrix."""
+
+    rho: np.ndarray
+    sig: np.ndarray
+    x0: np.ndarray
+    e1: np.ndarray
+
+    def start(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """X_0 for `size` strings, shape (size, J - 1), from as many rows
+        of J - 1 standard normals."""
+        return rng.standard_normal((size, len(self.rho))) * self.x0
+
+    def variance_sum(self, T: int) -> np.ndarray:
+        """Sum over t = 1..T of Var X_t per mode.  Var X_t relaxes
+        geometrically from x0^2 to the stationary sig^2 / (1 - rho^2);
+        |rho| < 1 for every m >= 1.  1 - rho^(2T) is taken by expm1,
+        which keeps its digits as rho^2 -> 1."""
+        r2 = self.rho ** 2
+        stat = self.sig ** 2 / (1.0 - r2)
+        with np.errstate(divide="ignore"):      # rho = 0: log 0 = -inf
+            decay = -np.expm1(T * np.log(r2))
+        return T * stat + (self.x0 ** 2 - stat) * r2 * decay / (1.0 - r2)
+
+
+def free_modes(basis: Basis, conv: Convention, init: str) -> FreeModes:
+    """The free law of the modes m >= 1 under a convention, started from
+    zero (init "zero") or from the stationary law (init "stationary")."""
+    if init not in ("zero", "stationary"):
+        raise ValueError(f"unknown init {init!r}")
+    rho = basis.rho[1:]
     sig = mode_innovation_std(basis, conv)[1:]
-    out[1:] = sig / np.sqrt(1.0 - rho[1:] ** 2)
-    return out
-
-
-def sample_stationary_field(basis: Basis, rng: np.random.Generator,
-                            size: int,
-                            conv: Convention = Convention.LITERAL) -> np.ndarray:
-    """Draw `size` centered fields from the exact stationary law of the
-    modes m >= 1 (mode 0 set to zero).  Shape (size, J)."""
-    sd = stationary_mode_std(basis, conv).copy()
-    sd[0] = 0.0
-    X = rng.standard_normal((size, basis.J)) * sd
-    return X @ basis.e
-
-
-def sample_stationary_pinned(basis: Basis, n0: int, rng: np.random.Generator,
-                             size: int,
-                             conv: Convention = Convention.LITERAL) -> np.ndarray:
-    """Stationary fields pinned to zero at site n0 (each sample has
-    u[n0] = 0 exactly); increments u[i] - u[j] have the stationary law."""
-    if not (0 <= n0 < basis.J):
-        raise ValueError(f"anchor site {n0} outside 0..{basis.J - 1}")
-    sd = stationary_mode_std(basis, conv).copy()
-    sd[0] = 0.0
-    X = rng.standard_normal((size, basis.J)) * sd
-    synth = basis.e - basis.e[:, [n0]]
-    return X @ synth
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """Columns t, n, u at 12 significant digits, t-major."""
-    lines = ["t,n,u"]
-    for t in range(traj.T + 1):
-        for n in range(traj.J):
-            lines.append(f"{t},{n},{traj.u[t, n]:.12g}")
-    return "\n".join(lines) + "\n"
+    x0 = (sig / np.sqrt(1.0 - rho ** 2) if init == "stationary"
+          else np.zeros(basis.J - 1))
+    return FreeModes(rho=rho, sig=sig, x0=x0, e1=basis.e[1:])
 
 
 def write_trajectory_binary(traj: Trajectory, path) -> None:

@@ -23,9 +23,8 @@ import numpy as np
 
 from .ar1 import (AR1Params, legendre_rate, mode_decompose, rate_function,
                   reconstruct_centered, square_sums)
-from .dynamics import (counter_rng, mode_innovation_std, sample_noise,
-                       simulate_recursion, solution_formula,
-                       stationary_mode_std)
+from .dynamics import (counter_rng, free_modes, sample_noise,
+                       simulate_recursion, solution_formula)
 from .gibbs import (SAMPLERS, SamplerDegeneracyError, jensen_lower_bound,
                     sample_measure)
 from .increments import monte_carlo_increment_check
@@ -217,23 +216,10 @@ def scaling_exact_r2(basis: Basis, T: int,
                      init: str = "stationary") -> float:
     """Closed-form E[R^2] of the free string.
 
-    Parseval reduces R^2 to (1/(T J)) sum_m sum_t Var X_t^(m).  Started
-    stationary the variance is t-independent; started from zero it is
-    sigma_m^2 (1 - rho^(2t)) / (1 - rho^2), summed geometrically.
+    Parseval reduces R^2 to (1/(T J)) sum_m sum_t Var X_t^(m), which
+    FreeModes.variance_sum gives per mode.
     """
-    rho = basis.rho[1:]
-    if init == "stationary":
-        var_sum = T * stationary_mode_std(basis, conv)[1:] ** 2
-    elif init == "zero":
-        sig2 = mode_innovation_std(basis, conv)[1:] ** 2
-        r2 = rho ** 2
-        t_sum = np.where(r2 < 1.0,
-                         (T - r2 * (1.0 - r2 ** T) / (1.0 - r2))
-                         / (1.0 - r2),
-                         0.5 * T * (T + 1.0))
-        var_sum = sig2 * t_sum
-    else:
-        raise ValueError(f"unknown init {init!r}")
+    var_sum = free_modes(basis, conv, init).variance_sum(T)
     return float(var_sum.sum() / (T * basis.J))
 
 
@@ -242,11 +228,9 @@ def _stationary_mode_r(basis: Basis, T: int, reps: int, rng,
     """Per-replicate gyration radius of stationary free trajectories:
     an exact stationary draw of the modes m >= 1, stepped by
     ar1.square_sums, which keeps memory O(reps*J) for any T."""
-    sig = mode_innovation_std(basis, conv)[1:]
-    X = rng.standard_normal((reps, basis.J - 1))
-    X *= stationary_mode_std(basis, conv)[1:]
-    return np.sqrt(square_sums(rng, basis.rho[1:], sig, X, T)
-                   / (T * basis.J))
+    modes = free_modes(basis, conv, "stationary")
+    return np.sqrt(square_sums(rng, modes.rho, modes.sig,
+                               modes.start(rng, reps), T) / (T * basis.J))
 
 
 def _weighted_rms_quantiles(R: np.ndarray, log_w: np.ndarray):
@@ -280,11 +264,18 @@ def _stationary_cell_r(config: StudyConfig, basis: Basis, T: int, key: int,
 
 def _scaling_cell(config: StudyConfig, J: int) -> dict:
     """One J row; a sampler degeneracy flags the row instead of failing
-    the study."""
+    the study, and so does a frozen string, whose modes m >= 1 have no
+    innovation (J = 2 under PAPER at kappa = 1/2): its R is 0, and
+    log R has no place in the fit."""
     basis = build_basis(J, config.kappa)
     exact = np.sqrt(scaling_exact_r2(basis, config.T, config.convention))
     row = {"J": J, "beta": config.beta, "flagged": False,
            "R_exact": quantize12(exact)}
+    if not free_modes(basis, config.convention, "stationary").sig.any():
+        row.update({"R_mean": 0.0, "R_q05": 0.0, "R_q95": 0.0,
+                    "ESS_or_acceptance": 0.0, "sampler": "none",
+                    "flagged": True, "detail": "frozen string"})
+        return row
     try:
         R, log_w, diag, label = _stationary_cell_r(config, basis, config.T,
                                                    J, 10, config.sampler)
@@ -586,9 +577,10 @@ def _check_scaling_mc(config):
 
 @validation_check("legendre_vs_rate")
 def _check_legendre(config):
-    p = AR1Params(rho=0.5, sigma2=1.0)
     xs = np.array([0.5, 1.0, 2.0, 5.0])
-    worst = float(np.abs(legendre_rate(p, xs) - rate_function(p, xs)).max())
+    worst = max(float(np.abs(legendre_rate(p, xs)
+                             - rate_function(p, xs)).max())
+                for p in (AR1Params(0.5, 1.0), AR1Params(-0.6, 1.0)))
     return (worst < 1e-4, f"max |Legendre - rate| = {worst:.3g}")
 
 

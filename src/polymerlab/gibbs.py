@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import (counter_rng, mode_innovation_std, neumann_laplacian,
-                       sample_stationary_field, stationary_mode_std)
+from .dynamics import (counter_rng, free_modes, mode_innovation_std,
+                       neumann_laplacian)
 from .observables import intersection_counts_batch, near_pairs
 from .spectral import Basis, Convention
 
@@ -144,8 +144,7 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
     but the two threads pass the GIL through the count's many small
     numpy calls and meet at every step, so on a shared host the op's
     time swung by a factor of two from run to run."""
-    if init not in ("zero", "stationary"):
-        raise ValueError(f"unknown init {init!r}")
+    modes = free_modes(basis, conv, init)
     # checked here, so a bad epsilon costs no step
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -157,8 +156,9 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
     Rs, Ns = [], []
     for done in range(0, count, _CHUNK):
         c = min(_CHUNK, count - done)
-        u = (sample_stationary_field(basis, rng, c, conv)
-             if init == "stationary" else np.zeros((c, J)))
+        # the zero start draws nothing
+        u = (modes.start(rng, c) @ modes.e1 if init == "stationary"
+             else np.zeros((c, J)))
         lap = np.empty((c, J))
         xi = np.empty((c, J))
         # the deviation buffer doubles as the mode-to-site product
@@ -234,8 +234,8 @@ def jensen_lower_bound(basis: Basis, T: int, beta: float, epsilon: float,
     Both standard errors are combined for the `holds` verdict.
     """
     J = basis.J
-    rng = counter_rng(seed, 1)
-    fields = sample_stationary_field(basis, rng, samples, conv)
+    modes = free_modes(basis, conv, "stationary")
+    fields = modes.start(counter_rng(seed, 1), samples) @ modes.e1
     counts = intersection_counts_batch(fields, epsilon).astype(float)
     en = float(counts.mean())
     en_se = float(counts.std(ddof=1) / np.sqrt(samples))
@@ -288,16 +288,10 @@ class _NoiseChain:
         self.rng = rng
         self.scale = scale
         self.keep = float(np.sqrt(1.0 - scale * scale))
-        self.rho = basis.rho[1:]
-        self.sig = mode_innovation_std(basis, conv)[1:]
-        self.e1 = basis.e[1:]
+        modes = free_modes(basis, conv, init)
+        self.rho, self.sig, self.x0, self.e1 = (modes.rho, modes.sig,
+                                                modes.x0, modes.e1)
         self.init = init
-        if init == "stationary":
-            self.x0_scale = stationary_mode_std(basis, conv)[1:]
-        elif init == "zero":
-            self.x0_scale = np.zeros(basis.J - 1)
-        else:
-            raise ValueError(f"unknown init {init!r}")
         self.w0 = rng.standard_normal(basis.J - 1)
         self.xi = rng.standard_normal((T, basis.J))
         # rho^k rows for k = 0..T, shared by every tail update
@@ -307,7 +301,7 @@ class _NoiseChain:
     def _rebuild(self):
         """Rows u and their mask, evolved from the white state."""
         xim = self.xi @ self.e1.T            # per-row mode innovations
-        x = self.w0 * self.x0_scale
+        x = self.w0 * self.x0
         X = np.empty((self.T, len(self.rho)))
         for t in range(self.T):
             x = X[t] = self.rho * x + self.sig * xim[t]
@@ -366,7 +360,7 @@ class _NoiseChain:
         if self.init == "stationary":
             new_w0 = self.keep * self.w0 + self.scale * rng.standard_normal(
                 len(self.rho))
-            _, ok = self._propose(0, 1, (new_w0 - self.w0) * self.x0_scale,
+            _, ok = self._propose(0, 1, (new_w0 - self.w0) * self.x0,
                                   int(np.count_nonzero(self.near)),
                                   log_v[2 * T])
             if ok:
@@ -391,7 +385,8 @@ def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,
     sweep.  Proposals move the site rows in place; before each recorded
     sample the rows are rebuilt from the white state, so R and N_sum are
     exact functions of it.  An acceptance rate outside [0.05, 0.95]
-    triggers a tuning warning, not a failure.
+    triggers a tuning warning, not a failure, unless every mode's
+    innovation is zero: then no proposal moves the string.
     """
     if not (0.0 < proposal_scale <= 1.0):
         raise ValueError("proposal scale must lie in (0, 1]")
@@ -413,7 +408,7 @@ def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,
             k += 1
     proposed = sweeps * (2 * T + (init == "stationary"))
     rate = accepted / proposed
-    if not (0.05 <= rate <= 0.95) and beta > 0:
+    if not (0.05 <= rate <= 0.95) and beta > 0 and chain.sig.any():
         warnings.warn(f"Metropolis acceptance rate {rate:.3f} outside "
                       f"[0.05, 0.95]; retune proposal_scale", RuntimeWarning)
     return WeightedEnsemble(obs={"R": Rs[:k], "N_sum": Ns[:k]},

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import sample_stationary_pinned, stationary_mode_std
+from .dynamics import counter_rng, free_modes
 from .spectral import Basis, Convention, build_basis
 
 
@@ -40,11 +40,6 @@ class IncrementStat:
     convention: Convention
 
 
-def _mode_weights(basis: Basis, conv: Convention) -> np.ndarray:
-    sd = stationary_mode_std(basis, conv)
-    return (sd[1:] * basis.a[1:]) ** 2
-
-
 def increment_mean_and_variance(basis: Basis, i: int, j: int,
                                 conv: Convention = Convention.LITERAL
                                 ) -> IncrementStat:
@@ -54,8 +49,9 @@ def increment_mean_and_variance(basis: Basis, i: int, j: int,
     for s, name in ((i, "i"), (j, "j")):
         if not (0 <= s < basis.J):
             raise ValueError(f"site {name}={s} outside 0..{basis.J - 1}")
-    diff = basis.phi[1:, i] - basis.phi[1:, j]
-    var = float(np.sum(_mode_weights(basis, conv) * diff ** 2))
+    modes = free_modes(basis, conv, "stationary")
+    diff = modes.e1[:, i] - modes.e1[:, j]
+    var = float(np.sum(modes.x0 ** 2 * diff ** 2))
     return IncrementStat(i=i, j=j, mean=0.0, variance=var, convention=conv)
 
 
@@ -123,13 +119,11 @@ def variance_scaling_scan(J_list, conv: Convention = Convention.LITERAL,
 def monte_carlo_increment_check(basis: Basis, i: int, j: int,
                                 conv: Convention, samples: int,
                                 seed: int) -> dict:
-    """Pinned-string Monte Carlo against the closed form.  Returns the
+    """Stationary-string Monte Carlo against the closed form.  Returns the
     empirical mean with its standard error and the variance relative
     error."""
-    from .dynamics import counter_rng
-    rng = counter_rng(seed)
-    fields = sample_stationary_pinned(basis, n0=0, rng=rng, size=samples,
-                                      conv=conv)
+    modes = free_modes(basis, conv, "stationary")
+    fields = modes.start(counter_rng(seed), samples) @ modes.e1
     inc = fields[:, i] - fields[:, j]
     closed = increment_mean_and_variance(basis, i, j, conv).variance
     mean = float(inc.mean())

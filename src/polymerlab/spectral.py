@@ -63,6 +63,10 @@ class Basis:
             raise ValueError(f"kappa must lie in (0, 1/2], got {self.kappa}")
         m = np.arange(J)
         rho = 1.0 - 2.0 * self.kappa * (1.0 - np.cos(m * np.pi / J))
+        if J % 2 == 0:
+            # cos(pi/2) rounds to 6e-17: at kappa = 1/2 the mode would
+            # keep a 1e-16 rho where the exact value is 0
+            rho[J // 2] = 1.0 - 2.0 * self.kappa
         a = np.full(J, np.sqrt(2.0 / J))
         a[0] = np.sqrt(1.0 / J)
         n = np.arange(J)

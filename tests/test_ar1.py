@@ -214,15 +214,23 @@ def test_rate_is_convex():
 
 
 def test_cumulant_threshold_formula():
-    p = AR1Params(rho=0.6, sigma2=2.0)
-    assert cumulant_threshold(p) == pytest.approx(0.16 / 4.0)
+    # the limiting cumulant depends on rho only through rho^2, so the
+    # threshold is (1 - |rho|)^2 / (2 sigma2); it is finite just below
+    # the threshold and not above it
+    for rho in (0.6, -0.3, -0.6, -0.9):
+        p = AR1Params(rho=rho, sigma2=2.0)
+        y = cumulant_threshold(p)
+        assert y == pytest.approx((1.0 - abs(rho)) ** 2 / 4.0)
+        cums = ar1._cumulant_grid(p, np.array([0.999 * y, 1.001 * y]))
+        assert np.isfinite(cums[0]) and not np.isfinite(cums[1]), rho
 
 
 def test_legendre_matches_closed_form():
-    for rho, s2 in ((0.3, 1.0), (0.7, 2.0)):
+    for rho, s2 in ((0.3, 1.0), (0.7, 2.0), (-0.3, 1.0), (-0.6, 2.0),
+                    (-0.9, 1.0)):
         p = AR1Params(rho=rho, sigma2=s2)
         x0 = s2 / (1 - rho ** 2)
-        xs = np.array([0.5 * x0, x0, 2.0 * x0, 4.0 * x0])
+        xs = x0 * np.array([0.5, 1.0, 2.0, 4.0, 10.0, 30.0])
         dual = legendre_rate(p, xs)
         direct = rate_function(p, xs)
         assert np.max(np.abs(dual - direct)) < 1e-4

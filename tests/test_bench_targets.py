@@ -9,6 +9,7 @@ resolves each pair on the package.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -28,3 +29,13 @@ def test_every_traced_layer_resolves():
         module = importlib.import_module(f"polymerlab.{mod_name}")
         fn = getattr(module, fn_name, None)
         assert callable(fn), f"polymerlab.{mod_name}.{fn_name} is gone"
+
+
+def test_metropolis_positions_the_tracer_reads():
+    # the tracer's proposal count reads T and init off a positional call
+    # of gibbs.metropolis_sampler by index; a reordered signature would
+    # make it read another argument without an error
+    from polymerlab.gibbs import metropolis_sampler
+    names = list(inspect.signature(metropolis_sampler).parameters)
+    assert names[1] == "T"
+    assert names[9] == "init"

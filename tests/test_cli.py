@@ -1,5 +1,6 @@
 import argparse
 import importlib.metadata
+import json
 import os
 import shutil
 import subprocess
@@ -8,11 +9,13 @@ import sysconfig
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polymerlab
 from polymerlab import experiments
 from polymerlab.cli import build_parser, main
+from polymerlab.dynamics import sample_noise, simulate_recursion
 
 
 def run(capsys, *argv):
@@ -50,6 +53,21 @@ def test_simulate_csv_and_binary(tmp_path, capsys):
     assert code2 == 0
     files = os.listdir(tmp_path)
     assert any(f.endswith(".bin") for f in files)
+
+
+def test_simulate_csv_keeps_the_trajectory_format(tmp_path, capsys):
+    # the t-major "t,n,u" table at 12 significant digits, written out here
+    # independently of the report writer, on stdout and in the file
+    traj = simulate_recursion(np.zeros(4), sample_noise(2, 8, 4, 0.25), 0.3)
+    want = "t,n,u\n" + "".join(f"{t},{n},{traj.u[t, n]:.12g}\n"
+                               for t in range(9) for n in range(4))
+    argv = ("simulate", "--J", "4", "--T", "8", "--seed", "2", "--kappa",
+            "0.3", "--drift", "0.25")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == want
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "trajectory.csv").read_text() == want
 
 
 def test_simulate_deterministic(capsys):
@@ -142,6 +160,26 @@ def test_scaling_smoke(tmp_path, capsys):
     assert (tmp_path / "scaling.csv").exists()
     assert (tmp_path / "scaling_summary.jsonl").exists()
     assert "fitted_exponent" in out
+
+
+def test_scaling_flags_a_frozen_string(tmp_path, capsys):
+    # at J = 2 under PAPER the only mode m >= 1 has rho = 0 and no
+    # innovation, so R = 0: the row is flagged and left out of the fit,
+    # which then equals the fit without J = 2 (cells are seeded by J)
+    argv = ("scaling", "--T", "16", "--replicates", "50", "--convention",
+            "paper")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, *argv, "--J", "2,4,8,16", "--out",
+                           str(tmp_path))
+    assert code == 0
+    _, without, _ = run(capsys, *argv, "--J", "4,8,16")
+    assert json.loads(out.splitlines()[-1]) == json.loads(without)
+    _, rows = experiments.read_report_jsonl(
+        str(tmp_path / "scaling_summary.jsonl"))
+    assert rows[0]["J"] == 2 and rows[0]["flagged"] is True
+    assert rows[0]["R_mean"] == rows[0]["R_exact"] == 0.0
+    assert not any(r["flagged"] for r in rows[1:])
 
 
 def test_scaling_degeneracy_exits_three(capsys):

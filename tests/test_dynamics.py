@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from polymerlab.dynamics import (NoiseField, Trajectory, counter_rng,
-                                 mode_innovation_std, neumann_laplacian,
-                                 read_trajectory_binary, sample_noise,
-                                 sample_stationary_field,
-                                 sample_stationary_pinned,
-                                 simulate_recursion, solution_formula,
-                                 stationary_mode_std, trajectory_to_csv,
-                                 write_trajectory_binary)
+                                 free_modes, mode_innovation_std,
+                                 neumann_laplacian, read_trajectory_binary,
+                                 sample_noise, simulate_recursion,
+                                 solution_formula, write_trajectory_binary)
 from polymerlab.spectral import Convention, build_basis
 
 
@@ -114,56 +111,66 @@ def test_mode_innovation_std_by_convention():
     assert np.allclose(pap, np.abs(b.rho) * np.sqrt(8 / 2.0))
 
 
-def test_stationary_mode_std_closed_form():
+def test_free_modes_stationary_deviation_closed_form():
     b = build_basis(8)
-    lit = stationary_mode_std(b, Convention.LITERAL)
-    assert np.isinf(lit[0])
-    assert np.allclose(lit[1:], np.sqrt(1.0 / (1.0 - b.rho[1:] ** 2)))
-    pap = stationary_mode_std(b, Convention.PAPER)
+    lit = free_modes(b, Convention.LITERAL, "stationary")
+    assert np.array_equal(lit.rho, b.rho[1:])
+    assert np.array_equal(lit.e1, b.e[1:])
+    assert np.allclose(lit.sig, 1.0)
+    assert np.allclose(lit.x0, np.sqrt(1.0 / (1.0 - b.rho[1:] ** 2)))
+    pap = free_modes(b, Convention.PAPER, "stationary")
     expect = np.sqrt((8 / 2.0) * b.rho[1:] ** 2 / (1.0 - b.rho[1:] ** 2))
-    assert np.allclose(pap[1:], expect)
+    assert np.allclose(pap.x0, expect)
+    for conv in Convention:
+        assert np.array_equal(free_modes(b, conv, "zero").x0, np.zeros(7))
+
+
+def test_free_modes_rejects_unknown_init():
+    with pytest.raises(ValueError, match="warm"):
+        free_modes(build_basis(4), Convention.LITERAL, "warm")
+
+
+@pytest.mark.parametrize("J", [2, 3, 8, 64])
+@pytest.mark.parametrize("init", ["zero", "stationary"])
+@pytest.mark.parametrize("conv", list(Convention))
+def test_variance_sum_meets_the_recursion(J, init, conv):
+    modes = free_modes(build_basis(J), conv, init)
+    var, acc = modes.x0 ** 2, np.zeros(J - 1)
+    for T in range(1, 201):
+        var = modes.rho ** 2 * var + modes.sig ** 2
+        acc += var
+        if T in (1, 2, 7, 64, 200):
+            assert modes.variance_sum(T) == pytest.approx(acc, rel=1e-12)
 
 
 def test_stationary_field_covariance():
-    # sampled covariance of the centered field matches sum_m var_m e e^T
+    # start has covariance diag(x0^2), so the field X_0 @ e1 has
+    # sum_m x0_m^2 e_m e_m^T; under PAPER the middle mode has x0 = 0
     b = build_basis(4)
-    rng = counter_rng(42)
-    X = sample_stationary_field(b, rng, 200_000, Convention.LITERAL)
-    sd = stationary_mode_std(b, Convention.LITERAL)[1:]
-    expect = (b.e[1:].T * sd ** 2) @ b.e[1:]
-    got = np.cov(X.T)
-    assert np.abs(got - expect).max() < 0.05
-
-
-def test_stationary_pinned_vanishes_at_pin():
-    b = build_basis(6)
-    X = sample_stationary_pinned(b, 2, counter_rng(1), 100, Convention.PAPER)
-    assert np.abs(X[:, 2]).max() == 0.0
+    for conv in Convention:
+        modes = free_modes(b, conv, "stationary")
+        X = modes.start(counter_rng(42), 200_000)
+        assert X.shape == (200_000, 3)
+        top = modes.x0.max() ** 2
+        cov = np.cov(X.T)
+        assert np.abs(cov - np.diag(modes.x0 ** 2)).max() < 0.02 * top
+        expect = (b.e[1:].T * modes.x0 ** 2) @ b.e[1:]
+        got = np.cov((X @ modes.e1).T)
+        assert np.abs(got - expect).max() < 0.02 * top
 
 
 def test_stationary_evolution_is_invariant():
     # one recursion step applied to a stationary draw keeps the variance
     b = build_basis(5)
     rng = counter_rng(7)
-    u = sample_stationary_field(b, rng, 100_000, Convention.LITERAL)
+    modes = free_modes(b, Convention.LITERAL, "stationary")
+    u = modes.start(rng, 100_000) @ modes.e1
     xi = rng.standard_normal(u.shape)
     v = u + 0.5 * neumann_laplacian(u) + xi
     v = v - v.mean(axis=1, keepdims=True)
     var_u = (u ** 2).sum(axis=1).mean()
     var_v = (v ** 2).sum(axis=1).mean()
     assert var_v == pytest.approx(var_u, rel=0.02)
-
-
-def test_trajectory_csv_round_trip_text():
-    nf = sample_noise(1, 2, 3)
-    traj = simulate_recursion(np.zeros(3), nf)
-    text = trajectory_to_csv(traj)
-    lines = text.strip().splitlines()
-    assert lines[0] == "t,n,u"
-    assert len(lines) == 1 + 3 * 3
-    t, n, u = lines[4].split(",")
-    assert (int(t), int(n)) == (1, 0)
-    assert float(u) == pytest.approx(traj.u[1, 0], rel=1e-11)
 
 
 def test_binary_round_trip(tmp_path):

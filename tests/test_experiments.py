@@ -17,8 +17,7 @@ from polymerlab.experiments import (ConfigError, Report, StudyConfig,
                                     run_scaling_study, run_tail_probes,
                                     run_validation_suite,
                                     scaling_exact_r2, validation_manifest)
-from polymerlab.dynamics import (counter_rng, mode_innovation_std,
-                                 stationary_mode_std)
+from polymerlab.dynamics import counter_rng, mode_innovation_std
 from polymerlab.gibbs import SamplerDegeneracyError
 from polymerlab.spectral import Convention, build_basis
 
@@ -118,7 +117,6 @@ def test_exact_r2_zero_init_matches_recursion():
     b = build_basis(6)
     T = 40
     # independent accumulation: per-mode variance recursion
-    from polymerlab.dynamics import mode_innovation_std
     sig2 = mode_innovation_std(b, Convention.LITERAL)[1:] ** 2
     var = np.zeros(5)
     acc = 0.0
@@ -134,10 +132,11 @@ def test_exact_r2_zero_init_matches_recursion():
 
 def _stationary_mode_r_oracle(basis, T, reps, rng, conv):
     """The stationary mode loop as it was before it ran in place: fresh
-    mode and noise arrays at every step."""
-    sd = stationary_mode_std(basis, conv)[1:]
+    mode and noise arrays at every step, from the stationary deviation
+    sig / sqrt(1 - rho^2) of each mode m >= 1."""
     sig = mode_innovation_std(basis, conv)[1:]
     rho = basis.rho[1:]
+    sd = sig / np.sqrt(1.0 - rho ** 2)
     X = sd * rng.standard_normal((reps, len(rho)))
     acc = np.zeros(reps)
     for _ in range(T):

@@ -8,12 +8,15 @@ from polymerlab.spectral import Convention, build_basis
 
 
 def _brute_variance(basis, i, j, conv):
-    # direct mode sum: weights are squared stationary sd times weight a
-    from polymerlab.dynamics import stationary_mode_std
-    sd = stationary_mode_std(basis, conv)[1:]
+    # direct mode sum of the stationary variances against a^2 dphi^2:
+    # 1/(1-rho^2) under LITERAL, (J/2) rho^2/(1-rho^2) under PAPER
+    rho2 = basis.rho[1:] ** 2
+    var = 1.0 / (1.0 - rho2)
+    if conv is Convention.PAPER:
+        var = var * (basis.J / 2.0) * rho2
     a = basis.a[1:]
     dphi = basis.phi[1:, j] - basis.phi[1:, i]
-    return float(np.sum((sd * a) ** 2 * dphi ** 2))
+    return float(np.sum(var * a ** 2 * dphi ** 2))
 
 
 def test_closed_form_matches_brute_mode_sum():

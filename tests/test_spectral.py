@@ -23,6 +23,18 @@ def test_eigenvalues_general_kappa():
     assert np.all(b.rho[1:] < 1.0) and np.all(b.rho[1:] > -1.0)
 
 
+def test_middle_mode_eigenvalue_is_exact():
+    # for even J, rho_(J/2) = 1 - 2 kappa exactly, and 0 at kappa = 1/2,
+    # where cos(pi/2) alone would leave 1e-16; P's eigenvalue agrees
+    for J in (2, 4, 8, 64):
+        for kappa in (0.5, 0.3, 0.1):
+            b = build_basis(J, kappa)
+            assert b.rho[J // 2] == 1.0 - 2.0 * kappa
+            v = b.e[J // 2]
+            P = transition_matrix(J, kappa)
+            assert np.abs(P @ v - b.rho[J // 2] * v).max() < 1e-14
+
+
 def test_basis_orthonormality():
     for J in (2, 3, 8, 17):
         b = build_basis(J)
