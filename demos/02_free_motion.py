@@ -1,12 +1,15 @@
 """Free string dynamics: recursion vs closed-form solution, mean-height
-diffusion, and the increment variance scan with its scaling bands."""
+diffusion, and the increment variance scan with its scaling bands.
+
+increment_variance gives the exact stationary variance of u(0) - u(d)
+as a float; variance_scaling_scan returns its rows as plain dicts with
+the ratio band over all of them."""
 
 import numpy as np
 
 from polymerlab import (Convention, build_basis, counter_rng,
-                        increment_mean_and_variance, sample_noise,
-                        simulate_recursion, solution_formula,
-                        variance_scaling_scan)
+                        increment_variance, sample_noise, simulate_recursion,
+                        solution_formula, variance_scaling_scan)
 
 
 def main():
@@ -32,8 +35,7 @@ def main():
         print(f"stationary increment variances, {conv.name.lower()} "
               "weights, pair (0, d) at J=16:")
         for d in (1, 2, 4, 8):
-            st = increment_mean_and_variance(b, 0, d, conv)
-            print(f"  d={d}:  var = {st.variance:.6f}")
+            print(f"  d={d}:  var = {increment_variance(b, 0, d, conv):.6f}")
         scan = variance_scaling_scan((8, 16, 32, 64), conv)
         print(f"  scan ratio band over J in 8..64: "
               f"[{scan.min_ratio:.6g}, {scan.max_ratio:.6g}]  "

@@ -2,8 +2,9 @@
 
 Draws a row from the exact stationary law, shifted by its middle value
 so that it vanishes at the middle site, then exercises the local
-observables on it: near-pair counts, occupancy histograms, and the
-pair-count lower bound through bin occupancies.
+observables on it: near-pair counts, the occupancy histogram, a plain
+map z -> l(z) from bin index to site count, and the pair-count lower
+bound N >= sum_z l(z)^2 through those occupancies.
 """
 
 from polymerlab import (Convention, build_basis, counter_rng, free_modes,
@@ -24,7 +25,7 @@ def main():
     hist = occupancy_histogram(row, 0, eps)
     rep = local_inequality_check(row, 0, eps, window=(-2, 3))
     print(f"near pairs within {eps}: {n_pairs}")
-    print(f"occupied bins: {sorted(hist.counts)}")
+    print(f"occupied bins: {sorted(hist)}")
     print(f"pair count {rep.lhs} >= occupancy square sum {rep.rhs}: "
           f"{rep.holds}")
     print(f"window chain bound {rep.window_quadratic_mean_bound:.2f} "

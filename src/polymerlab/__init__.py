@@ -9,10 +9,9 @@ time-averaged squared modes, and batch experiment drivers with
 deterministic reports.
 """
 
-from .ar1 import (AR1Params, DegenerateProcessError, ModeProcess,
-                  ar1_params_for_mode, cumulant_threshold, legendre_rate,
-                  mode_decompose, rate_function, reconstruct_centered,
-                  tail_probe)
+from .ar1 import (AR1Params, DegenerateProcessError, cumulant_threshold,
+                  legendre_rate, mode_decompose, rate_function,
+                  reconstruct_centered, tail_probe)
 from .dynamics import (FreeModes, NoiseField, Trajectory, counter_rng,
                        free_modes, mode_innovation_std, neumann_laplacian,
                        read_trajectory_binary, sample_noise,
@@ -26,14 +25,12 @@ from .experiments import (ConfigError, Report, StudyConfig, emit_report,
 from .gibbs import (SamplerDegeneracyError, WeightedEnsemble,
                     estimate_measure, jensen_lower_bound, metropolis_sampler,
                     sample_ensemble, sample_measure)
-from .increments import (IncrementStat, ScanResult, ScanRow,
-                         increment_mean_and_variance,
+from .increments import (ScanResult, increment_variance,
                          monte_carlo_increment_check, scan_distances,
                          variance_scaling_scan)
-from .observables import (InequalityReport, OccupancyHistogram,
-                          intersection_counts_batch, local_inequality_check,
-                          occupancy_histogram, radius_of_gyration,
-                          self_intersection_count)
+from .observables import (InequalityReport, intersection_counts_batch,
+                          local_inequality_check, occupancy_histogram,
+                          radius_of_gyration, self_intersection_count)
 from .spectral import (MAX_J, Basis, Convention, build_basis,
                        cosecant_square_sum, green_function,
                        normalizing_constant_c0, transition_matrix,

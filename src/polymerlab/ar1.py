@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import counter_rng, free_modes
-from .spectral import Basis, Convention
+from .dynamics import counter_rng
+from .spectral import Basis
 
 _LEGENDRE_GRID = 20_001
 # chains per tail_probe chunk, and the threads that run the chunks
@@ -46,33 +46,12 @@ class AR1Params:
                              f"{self.sigma2}")
 
 
-@dataclass(frozen=True)
-class ModeProcess:
-    """One mode's series X_1..X_T with its quadratic time average."""
+def mode_decompose(traj, basis: Basis) -> np.ndarray:
+    """Project the centered field onto the orthonormal modes m >= 1:
+    column m - 1 of the (T, J-1) result is mode m's series X_1..X_T.
 
-    m: int
-    series: np.ndarray
-
-    @property
-    def time_average(self) -> float:
-        return float(np.mean(self.series ** 2))
-
-
-def ar1_params_for_mode(basis: Basis, m: int,
-                        conv: Convention = Convention.LITERAL) -> AR1Params:
-    """Autoregression coefficient and innovation variance of mode m."""
-    if not 1 <= m <= basis.J - 1:
-        raise ValueError(f"mode index must lie in 1..{basis.J - 1}")
-    modes = free_modes(basis, conv, "zero")
-    return AR1Params(rho=float(modes.rho[m - 1]),
-                     sigma2=float(modes.sig[m - 1] ** 2))
-
-
-def mode_decompose(traj, basis: Basis) -> list:
-    """Project the centered field onto the orthonormal modes m >= 1.
-
-    Requires the zero initial profile; each returned series then starts
-    from X_0 = 0 implicitly and satisfies X_{t+1} = rho_m X_t + innovation.
+    Requires the zero initial profile; each series then starts from
+    X_0 = 0 implicitly and satisfies X_{t+1} = rho_m X_t + innovation.
     """
     u = np.asarray(traj.u, dtype=float)
     if u.shape[1] != basis.J:
@@ -81,15 +60,13 @@ def mode_decompose(traj, basis: Basis) -> list:
         raise ValueError("mode decomposition requires the zero initial "
                          "profile")
     centered = u[1:] - u[1:].mean(axis=1, keepdims=True)
-    coeffs = centered @ basis.e[1:].T          # (T, J-1)
-    return [ModeProcess(m=m, series=coeffs[:, m - 1].copy())
-            for m in range(1, basis.J)]
+    return centered @ basis.e[1:].T
 
 
-def reconstruct_centered(modes: list, basis: Basis) -> np.ndarray:
-    """Resynthesize the centered field rows from mode series."""
-    coeffs = np.stack([mp.series for mp in modes], axis=1)
-    return coeffs @ basis.e[1:]
+def reconstruct_centered(modes: np.ndarray, basis: Basis) -> np.ndarray:
+    """Resynthesize the centered field rows from the (T, J-1) mode
+    series."""
+    return modes @ basis.e[1:]
 
 
 def _check_positive_sigma(params: AR1Params):

@@ -23,11 +23,9 @@ from .experiments import (_FIELD_PARSERS, ConfigError, _json_line,
                           run_validation_suite)
 from .gibbs import (SAMPLERS, SamplerDegeneracyError, estimate_measure,
                     sample_measure)
-from .increments import variance_scaling_scan
+from .increments import SCAN_FIELDS, variance_scaling_scan
 from .spectral import build_basis, cosecant_square_sum, normalizing_constant_c0
 
-_SCAN_FIELDS = ("J", "i", "j", "d", "convention", "variance", "ratio",
-                "reflected_i", "reflected_j", "reflected_variance")
 _LDP_FIELDS = ("rho", "sigma2", "x_or_K", "value", "empirical", "T",
                "samples")
 
@@ -113,16 +111,7 @@ def _cmd_simulate(cfg, args) -> int:
 
 def _cmd_variance_scan(cfg, args) -> int:
     result = variance_scaling_scan(cfg.J_list, cfg.convention, cfg.kappa)
-    rows = []
-    for r in result.rows:
-        rows.append({"J": r.J, "i": r.i, "j": r.j, "d": r.d,
-                     "convention": r.convention.value,
-                     "variance": quantize12(r.variance),
-                     "ratio": quantize12(r.ratio),
-                     "reflected_i": r.reflected_i,
-                     "reflected_j": r.reflected_j,
-                     "reflected_variance": quantize12(r.reflected_variance)})
-    _write_or_print(rows_to_csv(_SCAN_FIELDS, rows), cfg.output_dir,
+    _write_or_print(rows_to_csv(SCAN_FIELDS, result.rows), cfg.output_dir,
                     "variance_scan.csv")
     print(_json_line({"convention": result.convention.value,
                       "min_ratio": result.min_ratio,

@@ -30,9 +30,9 @@ from .gibbs import (SAMPLERS, SamplerDegeneracyError, jensen_lower_bound,
 from .increments import monte_carlo_increment_check
 from .observables import (intersection_counts_batch, local_inequality_check,
                           radius_of_gyration)
-from .spectral import (Basis, Convention, build_basis, cosecant_square_sum,
-                       green_function, normalizing_constant_c0,
-                       transition_matrix_power)
+from .spectral import (MAX_J, Basis, Convention, build_basis,
+                       cosecant_square_sum, green_function,
+                       normalizing_constant_c0, transition_matrix_power)
 
 SCHEMA_VERSION = "1.0"
 
@@ -90,6 +90,9 @@ class StudyConfig:
                            _parse_convention(self.convention))
         if not self.J_list or any(int(J) < 2 for J in self.J_list):
             raise ConfigError("J_list needs entries >= 2")
+        if any(int(J) > MAX_J for J in self.J_list):
+            raise ConfigError(f"J_list entries must not exceed MAX_J = "
+                              f"{MAX_J}")
         if self.T < 1:
             raise ConfigError("T must be positive")
         if self.T_list is not None and any(t < 1 for t in self.T_list):
@@ -594,7 +597,7 @@ def _check_reconstruction(config):
     worst = float(np.abs(reconstruct_centered(modes, basis)
                          - centered).max())
     # Parseval: R^2 = (1/J) sum_m S_T^(m) over the orthonormal modes
-    r2_spectral = sum(mp.time_average for mp in modes) / basis.J
+    r2_spectral = sum(float(np.mean(x ** 2)) for x in modes.T) / basis.J
     parseval = abs(r2_spectral / radius_of_gyration(traj) ** 2 - 1.0)
     return (worst < 1e-9 and parseval < 1e-9,
             f"max reconstruction error {worst:.3g}, "

@@ -145,9 +145,12 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
     numpy calls and meet at every step, so on a shared host the op's
     time swung by a factor of two from run to run."""
     modes = free_modes(basis, conv, init)
-    # checked here, so a bad epsilon costs no step
+    # checked here, so bad arguments cost no step
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if T < 1 or count < 1:
+        raise ValueError(f"T and count must be positive, got T={T}, "
+                         f"count={count}")
     J = basis.J
     # LITERAL drives every mode with unit innovations: white site noise
     sig = (None if conv is Convention.LITERAL
@@ -390,6 +393,11 @@ def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,
     """
     if not (0.0 < proposal_scale <= 1.0):
         raise ValueError("proposal scale must lie in (0, 1]")
+    if T < 1 or n_samples < 1 or thin < 1:
+        raise ValueError(f"T, n_samples and thin must be positive, got "
+                         f"T={T}, n_samples={n_samples}, thin={thin}")
+    if burnin < 0:
+        raise ValueError(f"burnin must be nonnegative, got {burnin}")
     J = basis.J
     rng = counter_rng(seed, 2)
     chain = _NoiseChain(basis, T, beta, epsilon, rng, init, conv,

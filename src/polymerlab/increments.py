@@ -31,19 +31,9 @@ from .dynamics import counter_rng, free_modes
 from .spectral import Basis, Convention, build_basis
 
 
-@dataclass(frozen=True)
-class IncrementStat:
-    i: int
-    j: int
-    mean: float
-    variance: float
-    convention: Convention
-
-
-def increment_mean_and_variance(basis: Basis, i: int, j: int,
-                                conv: Convention = Convention.LITERAL
-                                ) -> IncrementStat:
-    """Exact mean (always 0) and variance of the stationary increment."""
+def increment_variance(basis: Basis, i: int, j: int,
+                       conv: Convention = Convention.LITERAL) -> float:
+    """Exact variance of the stationary increment; its mean is 0."""
     if basis.J < 2:
         raise ValueError("increments need J >= 2")
     for s, name in ((i, "i"), (j, "j")):
@@ -51,22 +41,12 @@ def increment_mean_and_variance(basis: Basis, i: int, j: int,
             raise ValueError(f"site {name}={s} outside 0..{basis.J - 1}")
     modes = free_modes(basis, conv, "stationary")
     diff = modes.e1[:, i] - modes.e1[:, j]
-    var = float(np.sum(modes.x0 ** 2 * diff ** 2))
-    return IncrementStat(i=i, j=j, mean=0.0, variance=var, convention=conv)
+    return float(np.sum(modes.x0 ** 2 * diff ** 2))
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    J: int
-    i: int
-    j: int
-    d: int
-    convention: Convention
-    variance: float
-    ratio: float
-    reflected_i: int
-    reflected_j: int
-    reflected_variance: float
+# the scan's row keys, in the CSV's column order
+SCAN_FIELDS = ("J", "i", "j", "d", "convention", "variance", "ratio",
+               "reflected_i", "reflected_j", "reflected_variance")
 
 
 @dataclass(frozen=True)
@@ -90,7 +70,8 @@ def scan_distances(J: int) -> list[int]:
 
 def variance_scaling_scan(J_list, conv: Convention = Convention.LITERAL,
                           kappa: float = 0.5) -> ScanResult:
-    """Variance over the (J, d) grid with boundary-anchored pairs (0, d).
+    """Variance over the (J, d) grid with boundary-anchored pairs (0, d),
+    one dict per row keyed by SCAN_FIELDS.
 
     ratio is variance/(J*d) under PAPER and variance/d under LITERAL.
     The reflected pair, which violates i + j < J - 1, rides along in
@@ -102,16 +83,13 @@ def variance_scaling_scan(J_list, conv: Convention = Convention.LITERAL,
             raise ValueError(f"scan needs J >= 4, got {J}")
         basis = build_basis(J, kappa)
         for d in scan_distances(J):
-            stat = increment_mean_and_variance(basis, 0, d, conv)
+            var = increment_variance(basis, 0, d, conv)
             ri, rj = J - 1 - d, J - 1
-            refl = increment_mean_and_variance(basis, ri, rj, conv)
             denom = J * d if conv is Convention.PAPER else d
-            rows.append(ScanRow(J=J, i=0, j=d, d=d, convention=conv,
-                                variance=stat.variance,
-                                ratio=stat.variance / denom,
-                                reflected_i=ri, reflected_j=rj,
-                                reflected_variance=refl.variance))
-    ratios = [r.ratio for r in rows]
+            rows.append(dict(zip(SCAN_FIELDS, (
+                J, 0, d, d, conv.value, var, var / denom, ri, rj,
+                increment_variance(basis, ri, rj, conv)))))
+    ratios = [r["ratio"] for r in rows]
     return ScanResult(convention=conv, rows=rows,
                       min_ratio=min(ratios), max_ratio=max(ratios))
 
@@ -125,7 +103,7 @@ def monte_carlo_increment_check(basis: Basis, i: int, j: int,
     modes = free_modes(basis, conv, "stationary")
     fields = modes.start(counter_rng(seed), samples) @ modes.e1
     inc = fields[:, i] - fields[:, j]
-    closed = increment_mean_and_variance(basis, i, j, conv).variance
+    closed = increment_variance(basis, i, j, conv)
     mean = float(inc.mean())
     var = float(inc.var(ddof=1))
     se_mean = float(inc.std(ddof=1) / np.sqrt(samples))

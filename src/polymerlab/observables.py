@@ -4,7 +4,7 @@ histogram with its counting inequalities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -202,22 +202,9 @@ def self_intersection_count(traj, t=0, epsilon: float = None) -> int:
     return int(intersection_counts_batch(_row(traj, t), epsilon))
 
 
-@dataclass(frozen=True)
-class OccupancyHistogram:
-    epsilon: float
-    alpha: float
-    counts: dict = field(default_factory=dict)   # bin index z -> occupancy
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def sum_of_squares(self) -> int:
-        return sum(v * v for v in self.counts.values())
-
-
 def occupancy_histogram(traj, t=0, epsilon: float = None,
-                        alpha: float = 0.0) -> OccupancyHistogram:
-    """Assign each site value to the half-open bin
+                        alpha: float = 0.0) -> dict:
+    """Occupancies {z: l(z)} of the occupied half-open bins
     (z*eps - alpha*eps, z*eps + (1-alpha)*eps]; every site lands in
     exactly one bin."""
     if epsilon is None or not epsilon > 0:
@@ -228,8 +215,7 @@ def occupancy_histogram(traj, t=0, epsilon: float = None,
     # x in (z*e - a*e, z*e + (1-a)*e]  <=>  x/e + a in (z, z+1]
     z = np.ceil(x / epsilon + alpha).astype(np.int64) - 1
     vals, cnts = np.unique(z, return_counts=True)
-    return OccupancyHistogram(epsilon=epsilon, alpha=alpha,
-                              counts=dict(zip(vals.tolist(), cnts.tolist())))
+    return dict(zip(vals.tolist(), cnts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -255,13 +241,13 @@ def local_inequality_check(traj, t=0, epsilon: float = None,
     """
     N = self_intersection_count(traj, t, epsilon)
     hist = occupancy_histogram(traj, t, epsilon, alpha)
-    sq = hist.sum_of_squares()
+    sq = sum(v * v for v in hist.values())
     rep = dict(lhs=N, rhs=sq, holds=N >= sq)
     if window is not None:
         zlo, zhi = window
         if zhi <= zlo:
             raise ValueError("empty bin window")
-        in_win = [hist.counts.get(z, 0) for z in range(zlo, zhi)]
+        in_win = [hist.get(z, 0) for z in range(zlo, zhi)]
         L = sum(in_win)
         nb = zhi - zlo
         bound = L * L / nb

@@ -9,14 +9,14 @@ from scipy.signal import lfilter
 
 from polymerlab import ar1
 from polymerlab.ar1 import (AR1Params, DegenerateProcessError,
-                            ar1_params_for_mode, cumulant_threshold,
-                            legendre_rate, mode_decompose, rate_function,
+                            cumulant_threshold, legendre_rate,
+                            mode_decompose, rate_function,
                             reconstruct_centered, tail_probe)
 from polymerlab.cli import _LDP_FIELDS
 from polymerlab.dynamics import (NoiseField, counter_rng, sample_noise,
                                  simulate_recursion)
 from polymerlab.experiments import quantize12, rows_to_csv
-from polymerlab.spectral import Convention, build_basis
+from polymerlab.spectral import build_basis
 
 
 def _traj(seed, T, J):
@@ -39,18 +39,6 @@ def test_params_validation():
             AR1Params(rho=0.2, sigma2=sigma2)
 
 
-def test_params_for_mode():
-    b = build_basis(8)
-    p = ar1_params_for_mode(b, 1)
-    assert p.rho == pytest.approx(np.cos(np.pi / 8))
-    assert p.sigma2 == pytest.approx(1.0)
-    pp = ar1_params_for_mode(b, 2, Convention.PAPER)
-    assert pp.sigma2 == pytest.approx(pp.rho ** 2 * 4.0)
-    for bad in (0, 8):
-        with pytest.raises(ValueError):
-            ar1_params_for_mode(b, bad)
-
-
 def test_decompose_preconditions():
     b = build_basis(8)
     with pytest.raises(ValueError):
@@ -63,22 +51,21 @@ def test_decompose_preconditions():
 
 def test_decompose_trivials():
     b = build_basis(4)
-    quiet = _forced(np.zeros((6, 4)))
-    for mp in mode_decompose(quiet, b):
-        assert np.all(mp.series == 0.0)
-        assert mp.time_average == 0.0
+    quiet = mode_decompose(_forced(np.zeros((6, 4))), b)
+    assert quiet.shape == (6, 3)
+    assert np.all(quiet == 0.0)
     # spatially constant forcing only ever moves the mean
-    flat = _forced(np.ones((6, 4)) * 2.5)
-    for mp in mode_decompose(flat, b):
-        assert np.allclose(mp.series, 0.0, atol=1e-12)
+    flat = mode_decompose(_forced(np.ones((6, 4)) * 2.5), b)
+    assert np.allclose(flat, 0.0, atol=1e-12)
 
 
 def test_mode_series_is_ar1():
     b = build_basis(8)
     t = _traj(11, 100_000, 8)
     modes = mode_decompose(t, b)
+    assert modes.shape == (100_000, 7)
     for m in (1, 4, 7):
-        x = modes[m - 1].series
+        x = modes[:, m - 1]
         prev, nxt = x[:-1], x[1:]
         slope = float(prev @ nxt / (prev @ prev))
         resid = nxt - slope * prev

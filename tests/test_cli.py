@@ -84,6 +84,20 @@ def test_variance_scan(capsys):
     assert len(lines) == 4                       # d = 1, 2, 4
 
 
+def test_variance_scan_paper_text_at_width_four(capsys):
+    # the whole output, written out here: the rows on stdout and the
+    # ratio band on stderr
+    code, out, err = run(capsys, "variance-scan", "--J", "4",
+                         "--convention", "paper")
+    assert code == 0
+    assert out == ("J,i,j,d,convention,variance,ratio,reflected_i,"
+                   "reflected_j,reflected_variance\n"
+                   "4,0,1,1,paper,2,0.5,2,3,2\n"
+                   "4,0,2,2,paper,2,0.25,1,3,2\n")
+    assert err == ('{"convention":"paper","min_ratio":0.25,'
+                   '"max_ratio":0.5}\n')
+
+
 def test_gibbs_smoke(capsys):
     code, out, _ = run(capsys, "gibbs", "--J", "4", "--T", "8", "--beta",
                        "0.05", "--replicates", "400", "--seed", "1",
@@ -210,6 +224,13 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "scaling", "--config", str(cfg))
     assert code == 2
     assert "configuration error" in err
+
+
+def test_width_above_the_cap_exits_two(capsys):
+    code, out, err = run(capsys, "spectra", "--J", "5000")
+    assert code == 2
+    assert out == ""
+    assert "configuration error" in err and "MAX_J = 4096" in err
 
 
 def test_missing_config_exits_two(capsys):

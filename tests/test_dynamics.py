@@ -125,6 +125,17 @@ def test_free_modes_stationary_deviation_closed_form():
         assert np.array_equal(free_modes(b, conv, "zero").x0, np.zeros(7))
 
 
+def test_free_modes_ar1_law_of_single_modes():
+    # mode m steps X_t = rho_m X_{t-1} + sig_m xi_t: unit innovations
+    # under LITERAL, sigma^2 = rho^2 J / 2 under PAPER (mode 2, J = 8)
+    b = build_basis(8)
+    lit = free_modes(b, Convention.LITERAL, "zero")
+    assert lit.rho[0] == pytest.approx(np.cos(np.pi / 8))
+    assert lit.sig[0] ** 2 == pytest.approx(1.0)
+    pap = free_modes(b, Convention.PAPER, "zero")
+    assert pap.sig[1] ** 2 == pytest.approx(pap.rho[1] ** 2 * 4.0)
+
+
 def test_free_modes_rejects_unknown_init():
     with pytest.raises(ValueError, match="warm"):
         free_modes(build_basis(4), Convention.LITERAL, "warm")

@@ -19,7 +19,7 @@ from polymerlab.experiments import (ConfigError, Report, StudyConfig,
                                     scaling_exact_r2, validation_manifest)
 from polymerlab.dynamics import counter_rng, mode_innovation_std
 from polymerlab.gibbs import SamplerDegeneracyError
-from polymerlab.spectral import Convention, build_basis
+from polymerlab.spectral import MAX_J, Convention, build_basis
 
 
 def test_parse_config_text():
@@ -79,7 +79,8 @@ def test_config_fields_and_parsers_name_the_same_keys():
 
 def test_config_validation():
     for kw in ({"kappa": 0.7}, {"beta": -0.1}, {"epsilon": 0.0},
-               {"J_list": ()}, {"J_list": (1, 4)}, {"T": 0},
+               {"J_list": ()}, {"J_list": (1, 4)},
+               {"J_list": (8, MAX_J + 1)}, {"T": 0},
                {"sampler": "bogus"}, {"replicates": 0},
                {"T_list": (0, 4)}, {"T_list": (4, 8, 4)},
                {"ess_floor": 0.0},

@@ -540,6 +540,25 @@ def test_metropolis_scale_validation():
         metropolis_sampler(b, 4, 0.1, 0.5, 5, seed=1, proposal_scale=1.5)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda b: metropolis_sampler(b, 4, 0.1, 0.5, 3, seed=1, thin=0),
+     "thin=0"),
+    (lambda b: metropolis_sampler(b, 4, 0.1, 0.5, 3, seed=1, burnin=-5),
+     "burnin"),
+    (lambda b: metropolis_sampler(b, 0, 0.1, 0.5, 3, seed=1), "T=0"),
+    (lambda b: metropolis_sampler(b, 4, 0.1, 0.5, 0, seed=1),
+     "n_samples=0"),
+    (lambda b: sample_ensemble(b, 0, 0.1, 0.5, 10, seed=1), "T=0"),
+    (lambda b: sample_ensemble(b, 4, 0.1, 0.5, 0, seed=1), "count=0"),
+], ids=["metropolis-thin", "metropolis-burnin", "metropolis-T",
+        "metropolis-n_samples", "ensemble-T", "ensemble-count"])
+def test_sampler_sizes_rejected_before_any_draw(call, match):
+    with mock.patch("polymerlab.gibbs.counter_rng") as rng:
+        with pytest.raises(ValueError, match=match):
+            call(build_basis(4))
+    assert not rng.called
+
+
 def test_metropolis_acceptance_warning():
     b = build_basis(4)
     # epsilon so small no proposal ever creates a near pair: every move

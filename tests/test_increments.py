@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polymerlab.increments import (increment_mean_and_variance,
+from polymerlab.increments import (SCAN_FIELDS, increment_variance,
                                    monte_carlo_increment_check,
                                    scan_distances, variance_scaling_scan)
 from polymerlab.spectral import Convention, build_basis
@@ -24,27 +24,27 @@ def test_closed_form_matches_brute_mode_sum():
         b = build_basis(J)
         for conv in (Convention.LITERAL, Convention.PAPER):
             for (i, j) in ((0, 1), (0, J // 2), (1, J - 2)):
-                st = increment_mean_and_variance(b, i, j, conv)
-                assert st.mean == 0.0
-                assert st.variance == pytest.approx(
+                var = increment_variance(b, i, j, conv)
+                assert isinstance(var, float)
+                assert var == pytest.approx(
                     _brute_variance(b, i, j, conv), rel=1e-12)
 
 
 def test_same_site_variance_is_zero():
     b = build_basis(8)
-    st = increment_mean_and_variance(b, 3, 3, Convention.LITERAL)
-    assert st.variance == pytest.approx(0.0, abs=1e-12)
+    var = increment_variance(b, 3, 3, Convention.LITERAL)
+    assert var == pytest.approx(0.0, abs=1e-12)
 
 
 def test_known_values_at_width_eight():
     b = build_basis(8)
-    lit = increment_mean_and_variance(b, 0, 3, Convention.LITERAL)
-    assert lit.variance == pytest.approx(6.0, rel=1e-12)
+    lit = increment_variance(b, 0, 3, Convention.LITERAL)
+    assert lit == pytest.approx(6.0, rel=1e-12)
     # the two shortest boundary-anchored separations coincide exactly
-    p1 = increment_mean_and_variance(b, 0, 1, Convention.PAPER)
-    p2 = increment_mean_and_variance(b, 0, 2, Convention.PAPER)
-    assert p1.variance == pytest.approx(6.0, rel=1e-12)
-    assert p2.variance == pytest.approx(6.0, rel=1e-12)
+    p1 = increment_variance(b, 0, 1, Convention.PAPER)
+    p2 = increment_variance(b, 0, 2, Convention.PAPER)
+    assert p1 == pytest.approx(6.0, rel=1e-12)
+    assert p2 == pytest.approx(6.0, rel=1e-12)
 
 
 def test_scan_distances_powers_of_two():
@@ -56,13 +56,16 @@ def test_scan_distances_powers_of_two():
 def test_scan_rows_structure_and_symmetry():
     res = variance_scaling_scan([8, 16], Convention.PAPER)
     for row in res.rows:
-        assert row.i == 0 and row.j == row.d
-        assert row.i + row.j < row.J - 1
+        assert tuple(row) == SCAN_FIELDS
+        assert row["convention"] == "paper"
+        assert row["i"] == 0 and row["j"] == row["d"]
+        assert row["i"] + row["j"] < row["J"] - 1
+        assert row["ratio"] == row["variance"] / (row["J"] * row["d"])
         # reflected diagnostic pair has the same variance by symmetry
-        assert row.reflected_i == row.J - 1 - row.d
-        assert row.reflected_j == row.J - 1
-        assert row.reflected_variance == pytest.approx(row.variance,
-                                                       rel=1e-12)
+        assert row["reflected_i"] == row["J"] - 1 - row["d"]
+        assert row["reflected_j"] == row["J"] - 1
+        assert row["reflected_variance"] == pytest.approx(row["variance"],
+                                                          rel=1e-12)
 
 
 def test_paper_ratio_band_within_factor_twenty():
@@ -80,7 +83,7 @@ def test_literal_per_distance_band():
 
 
 def test_doubling_width_doubles_paper_variance_within_quarter():
-    rows = {(r.J, r.d): r.variance
+    rows = {(r["J"], r["d"]): r["variance"]
             for r in variance_scaling_scan([8, 16, 32, 64],
                                            Convention.PAPER).rows}
     worst = 0.0
@@ -104,4 +107,4 @@ def test_monte_carlo_check_agrees():
         assert abs(r["mc_mean"]) < 5 * r["mean_se"]
         assert r["variance_rel_err"] < 0.05
         assert r["closed_variance"] == pytest.approx(
-            increment_mean_and_variance(b, 0, 3, conv).variance)
+            increment_variance(b, 0, 3, conv))

@@ -247,15 +247,22 @@ def test_batch_counts_keep_leading_shape_across_blocks():
 def test_occupancy_histogram_totals():
     traj = _traj(7, T=3, J=8)
     hist = occupancy_histogram(traj, 2, 0.5, 0.25)
-    assert hist.total() == 8
-    assert hist.sum_of_squares() >= 8
-    assert all(c > 0 for c in hist.counts.values())
+    assert sum(hist.values()) == 8
+    assert sum(c * c for c in hist.values()) >= 8
+    assert all(c > 0 for c in hist.values())
+
+
+def test_occupancy_histogram_maps_bins_to_counts():
+    # x lands in bin z when x / eps + alpha lies in (z, z + 1]
+    row = np.array([0.1, 0.2, 3.0, -0.5, 0.5])
+    assert occupancy_histogram(row, 0, 0.5) == {-2: 1, 0: 3, 5: 1}
+    assert occupancy_histogram(row, 0, 0.5, 1.0) == {-1: 1, 1: 3, 6: 1}
 
 
 def test_histogram_shift_keeps_total():
     traj = _traj(8, T=2, J=5)
     for alpha in (0.0, 0.3, 0.9):
-        assert occupancy_histogram(traj, 1, 0.7, alpha).total() == 5
+        assert sum(occupancy_histogram(traj, 1, 0.7, alpha).values()) == 5
 
 
 def test_local_inequality_random_sweep():
