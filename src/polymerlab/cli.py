@@ -110,6 +110,9 @@ def _cmd_simulate(cfg, args) -> int:
 
 
 def _cmd_variance_scan(cfg, args) -> int:
+    if min(cfg.J_list) < 4:
+        raise ConfigError(f"variance-scan needs widths J >= 4, got "
+                          f"{min(cfg.J_list)}")
     result = variance_scaling_scan(cfg.J_list, cfg.convention, cfg.kappa)
     _write_or_print(rows_to_csv(SCAN_FIELDS, result.rows), cfg.output_dir,
                     "variance_scan.csv")

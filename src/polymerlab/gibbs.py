@@ -236,6 +236,9 @@ def jensen_lower_bound(basis: Basis, T: int, beta: float, epsilon: float,
     left side is estimated by importance sampling from the zero profile.
     Both standard errors are combined for the `holds` verdict.
     """
+    # the bound's standard error needs two samples
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got samples={samples}")
     J = basis.J
     modes = free_modes(basis, conv, "stationary")
     fields = modes.start(counter_rng(seed, 1), samples) @ modes.e1

@@ -36,9 +36,10 @@ def radius_of_gyration(traj: Trajectory) -> float:
 
 
 # pair comparisons in one broadcast call: 512 rows at J = 8, 8 at J = 64.
-# Somewhere between about 40k and 53k comparisons (a 0.3-0.4 MB float
-# temporary) the broadcast turns 2-3x slower than the lag scan; at 2^15
-# it was faster at every J = 8-128 on the host of the table below.
+# Per call on the strings of the table below, the broadcast took 0.5-0.7x
+# the lag scan's time at 2^15 comparisons for J = 32-128 and 0.8-1.1x for
+# J = 8-16; at 2^16 it took 0.8-1.5x, and at 2^17 (a 1 MB float
+# temporary) 2-8x.
 _BROADCAST_BLOCK = 1 << 15
 # values the lag scan sorts and scans at once: 2^16 float64 values,
 # 512 rows at J = 128, so a block's 0.5 MB temporaries stay in cache
@@ -57,29 +58,33 @@ def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
     Larger ones run in blocks of at most _SCAN_BLOCK values (512 rows at
     J = 128, at least one row), each on its own: sort each row and scan
     lags k = 1, 2, ...: each near pair x[i+k] - x[i] <= eps counts twice
-    on top of the diagonal pairs.  In a sorted row that difference only
-    grows with k, rounded or not, so a row with no near pair at lag k is
-    dropped; a block's scan stops when none of its rows is left.  Every
-    row's count is the same in any block.  Both paths subtract directly,
-    so they agree on every pair.
+    on top of the diagonal pairs.  A block is scanned sites-major, as one
+    (J, rows) copy, so each lag's differences are one contiguous run, and
+    its near pairs are summed per row in the narrowest unsigned type that
+    holds J - 1.  In a sorted row that difference only grows with k,
+    rounded or not, so a row with no near pair at lag k has none later:
+    it adds 0 while it rides along, and the live rows are copied out once
+    at most half of them are left.  A block's scan stops when none is
+    live.  Every row's count is the same in any block.  Both paths
+    subtract directly, so they agree on every pair.
 
     Per row, best of 7 (the lower of two such runs) on a 2-core Xeon
     with numpy 2.4, on free strings at t = 1..64 from the zero profile,
     eps = 0.5 (b: one broadcast call):
 
         rows     J = 16    J = 32    J = 64    J = 128
-           8     1.3 b     3.2 b     9.7 b     27 us
-          64     0.80 b    2.8       4.0       8.7
-         256     0.73      1.3       2.3       6.9
-        2000     0.49      1.1       2.1       6.8
-        4000     0.56      1.1       2.4       6.7
+           8     1.1 b     2.2 b     7.9 b     20 us
+          64     0.64 b    1.4       2.3       4.8
+         256     0.38      0.58      1.2       2.5
+        2000     0.18      0.32      0.93      2.2
+        4000     0.17      0.38      0.82      2.1
 
     Few wide rows are the slow end, as a row near the zero profile is
     scanned to its last lag.  The blocks keep the scan's temporaries at
-    0.5 MB, in cache: on the same strings, 64 batches of 2000 rows at
-    J = 128 took 0.85-0.99 s in blocks of 2^16 values, 1.25-1.27 s in
-    blocks of 2^14 and 1.31-1.34 s as one block of 2^18 (best of 5, two
-    runs).
+    0.5 MB, in cache: on the 64 batches of 2000 rows at J = 128 that the
+    importance-wide benchmark counts, the scan took 0.36-0.42 s in blocks
+    of 2^16 values, 0.48-0.52 s in blocks of 2^14 and 0.71-0.73 s as one
+    block of 2^18 (best of 5, two runs).
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -91,20 +96,28 @@ def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
     flat = rows.reshape(-1, J)
     out = np.empty(flat.shape[0], dtype=np.int64)
     block = max(1, _SCAN_BLOCK // J)
+    # a lag adds at most J - 1 near pairs to a row
+    lag_sum = np.min_scalar_type(J - 1)
     for lo in range(0, flat.shape[0], block):
-        x = np.sort(flat[lo:lo + block], axis=1)
+        # sites-major, so each lag's differences are one contiguous run
+        x = np.sort(flat[lo:lo + block], axis=1).T.copy()
         res = out[lo:lo + block]
-        res[:] = np.isfinite(x).sum(axis=1)     # the near diagonal pairs
-        live = np.arange(x.shape[0])
+        res[:] = np.isfinite(x).sum(axis=0)     # the near diagonal pairs
+        live = np.arange(x.shape[1])
+        pairs = np.zeros(live.size, dtype=np.int64)
         for k in range(1, J):
-            near = (x[:, k:] - x[:, :-k] <= epsilon).sum(axis=1,
-                                                         dtype=np.int32)
-            res[live] += 2 * near
-            if not near.all():
+            near = (x[k:] - x[:-k] <= epsilon).view(np.uint8).sum(
+                axis=0, dtype=lag_sum)
+            pairs += near
+            n_live = np.count_nonzero(near)
+            if not n_live:
+                break
+            if 2 * n_live <= near.size:
+                res[live] += 2 * pairs
                 keep = near > 0
-                x, live = x[keep], live[keep]
-                if not live.size:
-                    break
+                x, live = x[:, keep], live[keep]
+                pairs = np.zeros(live.size, dtype=np.int64)
+        res[live] += 2 * pairs
     return out.reshape(rows.shape[:-1])
 
 

@@ -233,6 +233,14 @@ def test_width_above_the_cap_exits_two(capsys):
     assert "configuration error" in err and "MAX_J = 4096" in err
 
 
+def test_scan_width_below_four_exits_two(capsys):
+    code, out, err = run(capsys, "variance-scan", "--J", "8,2")
+    assert code == 2
+    assert out == ""
+    assert err == "configuration error: variance-scan needs widths J >= 4, " \
+        "got 2\n"
+
+
 def test_missing_config_exits_two(capsys):
     code, _, err = run(capsys, "validate", "--config", "/no/such/file.cfg")
     assert code == 2

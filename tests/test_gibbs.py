@@ -304,6 +304,23 @@ def test_jensen_drift_cost_is_quadratic():
     assert r0["bound"] - r1["bound"] == pytest.approx(0.5 * 1.0 * 4)
 
 
+@pytest.mark.parametrize("samples", [1, 0])
+def test_jensen_rejects_fewer_than_two_samples_before_any_draw(samples):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch("polymerlab.gibbs.counter_rng") as rng:
+            with pytest.raises(ValueError, match=f"samples={samples}"):
+                jensen_lower_bound(build_basis(4), 8, 0.01, 0.5, 0.0,
+                                   samples, seed=1)
+    assert not rng.called
+    # two samples give a finite standard error without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = jensen_lower_bound(build_basis(4), 8, 0.01, 0.5, 0.0, 2, seed=1,
+                               ess_floor=1.0)
+    assert np.isfinite(r["bound_se"])
+
+
 def test_metropolis_zero_beta_accepts_everything():
     b = build_basis(4)
     ens = metropolis_sampler(b, 6, 0.0, 0.5, 50, seed=2, thin=2, burnin=10)
