@@ -23,7 +23,7 @@ from .experiments import (_FIELD_PARSERS, ConfigError, _json_line,
                           run_validation_suite)
 from .gibbs import (SAMPLERS, SamplerDegeneracyError, estimate_measure,
                     sample_measure)
-from .increments import SCAN_FIELDS, variance_scaling_scan
+from .increments import SCAN_FIELDS, SCAN_MIN_J, variance_scaling_scan
 from .spectral import build_basis, cosecant_square_sum, normalizing_constant_c0
 
 _LDP_FIELDS = ("rho", "sigma2", "x_or_K", "value", "empirical", "T",
@@ -110,9 +110,9 @@ def _cmd_simulate(cfg, args) -> int:
 
 
 def _cmd_variance_scan(cfg, args) -> int:
-    if min(cfg.J_list) < 4:
-        raise ConfigError(f"variance-scan needs widths J >= 4, got "
-                          f"{min(cfg.J_list)}")
+    if min(cfg.J_list) < SCAN_MIN_J:
+        raise ConfigError(f"variance-scan needs widths J >= {SCAN_MIN_J}, "
+                          f"got {min(cfg.J_list)}")
     result = variance_scaling_scan(cfg.J_list, cfg.convention, cfg.kappa)
     _write_or_print(rows_to_csv(SCAN_FIELDS, result.rows), cfg.output_dir,
                     "variance_scan.csv")

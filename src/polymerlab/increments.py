@@ -44,6 +44,8 @@ def increment_variance(basis: Basis, i: int, j: int,
     return float(np.sum(modes.x0 ** 2 * diff ** 2))
 
 
+# the smallest width the scan takes
+SCAN_MIN_J = 4
 # the scan's row keys, in the CSV's column order
 SCAN_FIELDS = ("J", "i", "j", "d", "convention", "variance", "ratio",
                "reflected_i", "reflected_j", "reflected_variance")
@@ -79,8 +81,8 @@ def variance_scaling_scan(J_list, conv: Convention = Convention.LITERAL,
     """
     rows = []
     for J in J_list:
-        if J < 4:
-            raise ValueError(f"scan needs J >= 4, got {J}")
+        if J < SCAN_MIN_J:
+            raise ValueError(f"scan needs J >= {SCAN_MIN_J}, got {J}")
         basis = build_basis(J, kappa)
         for d in scan_distances(J):
             var = increment_variance(basis, 0, d, conv)

@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of the benchmark, written as one JSON file.
 
-    python3 tools/bench_pairs.py --out BENCH_<n>.json \\
+    python3 tools/bench_pairs.py --base COMMIT --out BENCH_<n>.json \\
         --pairs importance-wide=10 tails-metropolis=3 scaling-free=6 \\
-        ldp-probe=3 [--base HEAD] [--seconds 20] [--tier1 2] [--note TEXT]
+        ldp-probe=3 [--tier1 2] [--note TEXT]
 
 Each side runs in a new temporary directory: the parent is a ``git
 archive`` of ``--base``, the change a copy of the working tree's tracked
 and untracked files that git does not ignore, uncommitted edits
-included.  Pair i of a workload runs seed i of
-``perfbench/baseline.json`` through each side's own ``perfbench/run.py
---trace 0``; the parent goes first in even pairs and the change in odd
-ones, so that a drift of the host falls on both sides alike.  Each side's
-end-to-end metrics, output checksum, op count and failed ops are kept per
-pair, and a summary gives each metric's medians, the parent's quartiles
-and the pairs the change won.  ``--tier1 N`` adds N alternating pairs of
+included.  ``--base`` is the parent commit: ``HEAD`` while the change is
+uncommitted, ``HEAD~1`` once it is committed.  Pair i of a workload runs
+seed i of ``perfbench/baseline.json`` through each side's own
+``perfbench/run.py --trace 0`` for BENCHMARK.json's ``run_seconds``; the
+parent goes first in even pairs and the change in odd ones, so that a
+drift of the host falls on both sides alike.  Each side's end-to-end
+metrics, output checksum, op count and failed ops are kept per pair, and
+a summary gives each metric's medians, the parent's quartiles and the
+pairs the change won.  ``--tier1 N`` adds N alternating pairs of
 the Tier-1 suite, ``PYTHONPATH=src python -m pytest -q
 --continue-on-collection-errors``, with its wall time, each acceptance
 criterion's time and the outcome counts.  The file is rewritten after
@@ -125,16 +127,17 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--pairs", nargs="+", required=True,
                     metavar="WORKLOAD=N", help="pairs per workload")
-    ap.add_argument("--base", default="HEAD",
-                    help="commit of the parent side (default HEAD)")
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--base", required=True,
+                    help="commit of the parent side: HEAD for an "
+                         "uncommitted change, HEAD~1 for a committed one")
     ap.add_argument("--tier1", type=int, default=0, metavar="N",
                     help="alternating pairs of the Tier-1 suite")
     ap.add_argument("--note", default="")
     args = ap.parse_args(argv)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)["end_to_end"]
+        bench_spec = json.load(fh)
+    spec, seconds = bench_spec["end_to_end"], bench_spec["run_seconds"]
     with open(os.path.join(root, "perfbench", "baseline.json"),
               encoding="utf-8") as fh:
         seeds = json.load(fh)["seeds"]
@@ -148,7 +151,7 @@ def main(argv=None) -> int:
 
     doc = {"pairs": {
         "command": f"python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0, parent and change "
+                   f"--seconds {seconds:g} --trace 0, parent and change "
                    f"alternating which runs first, seed i of "
                    f"perfbench/baseline.json in pair i",
         "note": args.note, "parent_commit": base,
@@ -173,7 +176,7 @@ def main(argv=None) -> int:
             for i, seed in enumerate(seeds[:n]):
                 entry["first"].append(order(i)[0])
                 for side in order(i):
-                    got = bench(roots[side], name, seed, args.seconds)
+                    got = bench(roots[side], name, seed, seconds)
                     doc["pairs"]["host"] = doc["pairs"]["host"] or {
                         k: v for k, v in got["host"].items()
                         if k != "git_commit"}
