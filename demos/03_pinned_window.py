@@ -1,15 +1,15 @@
 """Local observables on one stationary row, shifted to vanish at a site.
 
 Draws a row from the exact stationary law, shifted by its middle value
-so that it vanishes at the middle site, then exercises the local
-observables on it: near-pair counts, the occupancy histogram, a plain
-map z -> l(z) from bin index to site count, and the pair-count lower
-bound N >= sum_z l(z)^2 through those occupancies.
+so that it vanishes at the middle site, then passes that one row to the
+local observables: the occupancy histogram, a plain map z -> l(z) from
+bin index to site count, and local_inequality_check, which counts the
+near pairs N and checks the lower bound N >= sum_z l(z)^2 through those
+occupancies.
 """
 
 from polymerlab import (Convention, build_basis, counter_rng, free_modes,
-                        local_inequality_check, occupancy_histogram,
-                        self_intersection_count)
+                        local_inequality_check, occupancy_histogram)
 
 
 def main():
@@ -21,10 +21,9 @@ def main():
           f"{row[J // 2]:+.2e} (shifted to 0)")
 
     eps = 0.75
-    n_pairs = self_intersection_count(row, 0, eps)
-    hist = occupancy_histogram(row, 0, eps)
-    rep = local_inequality_check(row, 0, eps, window=(-2, 3))
-    print(f"near pairs within {eps}: {n_pairs}")
+    hist = occupancy_histogram(row, eps)
+    rep = local_inequality_check(row, eps, window=(-2, 3))
+    print(f"near pairs within {eps}: {rep.lhs}")
     print(f"occupied bins: {sorted(hist)}")
     print(f"pair count {rep.lhs} >= occupancy square sum {rep.rhs}: "
           f"{rep.holds}")

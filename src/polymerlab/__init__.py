@@ -30,7 +30,7 @@ from .increments import (ScanResult, increment_variance,
                          variance_scaling_scan)
 from .observables import (InequalityReport, intersection_counts_batch,
                           local_inequality_check, occupancy_histogram,
-                          radius_of_gyration, self_intersection_count)
+                          radius_of_gyration)
 from .spectral import (MAX_J, Basis, Convention, build_basis,
                        cosecant_square_sum, green_function,
                        normalizing_constant_c0, transition_matrix,

@@ -137,19 +137,24 @@ def _cmd_gibbs(cfg, args) -> int:
 
 
 def _cmd_ldp(cfg, args) -> int:
-    params = AR1Params(rho=args.rho, sigma2=args.sigma2)
     xs = _parse_list(args.x, float)
     if not np.isfinite(xs).all():
         raise ConfigError(f"--x values must be finite, got {args.x!r}")
     if args.K is not None and not np.isfinite(args.K):
         raise ConfigError(f"--K must be finite, got {args.K}")
-    rows = []
-    for x in xs:
-        rows.append({"rho": params.rho, "sigma2": params.sigma2,
-                     "x_or_K": quantize12(x),
-                     "value": quantize12(rate_function(params, x))})
-    if args.K is not None:
-        probe = tail_probe(params, cfg.T, args.K, cfg.replicates, cfg.seed)
+    # AR1Params, the zero-variance check and tail_probe's threshold check
+    # reject rho, sigma2 and K from the flags: bad configuration
+    try:
+        params = AR1Params(rho=args.rho, sigma2=args.sigma2)
+        values = [rate_function(params, x) for x in xs]
+        probe = (None if args.K is None else
+                 tail_probe(params, cfg.T, args.K, cfg.replicates, cfg.seed))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    rows = [{"rho": params.rho, "sigma2": params.sigma2,
+             "x_or_K": quantize12(x), "value": quantize12(v)}
+            for x, v in zip(xs, values)]
+    if probe is not None:
         rows.append({"rho": params.rho, "sigma2": params.sigma2,
                      "x_or_K": quantize12(args.K),
                      "value": quantize12(probe["rate_at_K"]),

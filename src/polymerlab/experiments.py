@@ -28,8 +28,7 @@ from .dynamics import (counter_rng, free_modes, sample_noise,
 from .gibbs import (SAMPLERS, SamplerDegeneracyError, jensen_lower_bound,
                     sample_measure)
 from .increments import monte_carlo_increment_check
-from .observables import (intersection_counts_batch, local_inequality_check,
-                          radius_of_gyration)
+from .observables import local_inequality_check, radius_of_gyration
 from .spectral import (MAX_J, Basis, Convention, build_basis,
                        cosecant_square_sum, green_function,
                        normalizing_constant_c0, transition_matrix_power)
@@ -302,19 +301,19 @@ def _scaling_cell(config: StudyConfig, J: int) -> dict:
 
 _SCALING_FIELDS = ("J", "beta", "R_mean", "R_q05", "R_q95",
                    "ESS_or_acceptance", "sampler", "flagged", "R_exact")
+# rows the log-log fit needs: a slope and a residual degree of freedom
+_FIT_MIN_ROWS = 3
 
 
 def _slope_with_se(x: np.ndarray, y: np.ndarray):
+    """Least-squares slope and its standard error, on at least
+    _FIT_MIN_ROWS points."""
     n = len(x)
     xc = x - x.mean()
     slope = float(np.dot(xc, y) / np.dot(xc, xc))
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
-    if n > 2:
-        se = float(np.sqrt(np.dot(resid, resid) / (n - 2)
-                           / np.dot(xc, xc)))
-    else:
-        se = float("nan")
+    se = float(np.sqrt(np.dot(resid, resid) / (n - 2) / np.dot(xc, xc)))
     return slope, se
 
 
@@ -324,21 +323,26 @@ def run_scaling_study(config: StudyConfig) -> Report:
     Cells run concurrently with per-cell seed streams; rows are
     assembled in J_list order.  R_mean is the quadratic mean of R over
     replicates, matched against the closed-form column R_exact.  The
-    log-log slope is fitted over unflagged rows; fewer than 3 of them
-    raises the degeneracy error.  `meta` holds convention, T, beta,
-    fitted_exponent, exponent_se and n_used.  With output_dir set,
-    creates it before any cell runs and writes scaling.csv and
-    scaling_summary.jsonl.
+    log-log slope is fitted over unflagged rows: fewer than
+    _FIT_MIN_ROWS widths is a configuration error, raised before any cell
+    runs, and fewer unflagged rows raises the degeneracy error.  `meta`
+    holds convention, T, beta, fitted_exponent, exponent_se and n_used.
+    With output_dir set, creates it before any cell runs and writes
+    scaling.csv and scaling_summary.jsonl.
     """
+    if len(config.J_list) < _FIT_MIN_ROWS:
+        raise ConfigError(f"scaling needs at least {_FIT_MIN_ROWS} widths "
+                          f"for the exponent fit, got {len(config.J_list)}")
     if config.output_dir is not None:
         os.makedirs(config.output_dir, exist_ok=True)
     with ThreadPoolExecutor(max_workers=min(4, len(config.J_list))) as pool:
         rows = list(pool.map(lambda J: _scaling_cell(config, J),
                              config.J_list))
     used = [r for r in rows if not r["flagged"]]
-    if len(used) < 3:
+    if len(used) < _FIT_MIN_ROWS:
         raise SamplerDegeneracyError(
-            f"only {len(used)} usable rows; the exponent fit needs 3")
+            f"only {len(used)} usable rows; the exponent fit needs "
+            f"{_FIT_MIN_ROWS}")
     x = np.log([r["J"] for r in used])
     y = np.log([r["R_mean"] for r in used])
     slope, se = _slope_with_se(x, y)
@@ -561,9 +565,8 @@ def _check_local_inequality(config):
     rows = 3.0 * rng.standard_normal((2000, J))
     bad = 0
     for row in rows:
-        rep = local_inequality_check(row, 0, 0.5, 0.0)
-        n = intersection_counts_batch(row, 0.5)
-        bad += not (rep.holds and J <= n <= J * J)
+        rep = local_inequality_check(row, 0.5)
+        bad += not (rep.holds and J <= rep.lhs <= J * J)
     return (bad == 0, f"{bad} violations in 2000 random rows")
 
 

@@ -98,9 +98,10 @@ def estimate_measure(ensemble: WeightedEnsemble, observable: str = "R",
     """Partition estimate and self-normalized reweighted expectation.
 
     log_Z_hat is reported only for a "P_T" base (it is the mean Boltzmann
-    weight, reduced by log-sum-exp after factoring the -beta*T*J floor).
-    The expectation standard error uses the normalized-weight delta
-    method.  An effective sample size under ess_floor raises.
+    weight, reduced by log-sum-exp after factoring the -beta*T*J floor),
+    and its standard error only for more than one draw.  The expectation
+    standard error uses the normalized-weight delta method.  An effective
+    sample size under ess_floor raises.
     """
     n = len(ensemble)
     if n == 0:
@@ -115,8 +116,9 @@ def estimate_measure(ensemble: WeightedEnsemble, observable: str = "R",
         floor = -ensemble.beta * ensemble.T * ensemble.J
         shifted = lw - floor          # in [-beta*T*J*(J-1), 0]
         log_z = float(floor + logsumexp(shifted) - np.log(n))
-        w = np.exp(shifted - shifted.max())
-        log_z_se = float(w.std(ddof=1) / (np.sqrt(n) * w.mean()))
+        if n > 1:
+            w = np.exp(shifted - shifted.max())
+            log_z_se = float(w.std(ddof=1) / (np.sqrt(n) * w.mean()))
     x = np.asarray(ensemble.obs[observable], dtype=float)
     wn = np.exp(lw - logsumexp(lw))
     q_mean = float(np.dot(wn, x))

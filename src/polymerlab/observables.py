@@ -12,19 +12,6 @@ import numpy as np
 from .dynamics import Trajectory
 
 
-def _row(traj, t):
-    if isinstance(traj, Trajectory):
-        if not (0 <= t <= traj.T):
-            raise ValueError(f"time {t} outside 0..{traj.T}")
-        return traj.u[t]
-    u = np.asarray(traj, dtype=float)
-    if u.ndim == 1:
-        return u
-    if not (0 <= t < u.shape[0]):
-        raise ValueError(f"time {t} outside 0..{u.shape[0] - 1}")
-    return u[t]
-
-
 def radius_of_gyration(traj: Trajectory) -> float:
     """Root mean square spread about the per-time center of mass,
     averaged over t = 1..T (the initial slice is excluded)."""
@@ -39,7 +26,13 @@ def radius_of_gyration(traj: Trajectory) -> float:
 # Per call on the strings of the table below, the broadcast took 0.5-0.7x
 # the lag scan's time at 2^15 comparisons for J = 32-128 and 0.8-1.1x for
 # J = 8-16; at 2^16 it took 0.8-1.5x, and at 2^17 (a 1 MB float
-# temporary) 2-8x.
+# temporary) 2-8x.  The branch stays for single rows: criterion 5 counts
+# its 100 000 rows at J = 16 one call each, at 6.3-7.0 us per row here
+# against 67-77 us on the lag scan, and took 3.8-5.6 s against 11.3-11.5 s
+# with the branch off (best of 7 and two runs on a 2-core Xeon, numpy
+# 2.4).  Just under the limit it loses: the eight (2000, 4) batches of
+# 32 000 comparisons in criterion 4's sample_ensemble took 325-490 us
+# each broadcast against 180-260 us on the lag scan.
 _BROADCAST_BLOCK = 1 << 15
 # values the lag scan sorts and scans at once: 2^16 float64 values,
 # 512 rows at J = 128, so a block's 0.5 MB temporaries stay in cache
@@ -207,24 +200,17 @@ def near_pairs(rows: np.ndarray, epsilon: float) -> np.ndarray:
     return np.abs(diff, out=diff) <= epsilon
 
 
-def self_intersection_count(traj, t=0, epsilon: float = None) -> int:
-    """Near-pair count of the row at time t (intersection_counts_batch on
-    one row)."""
-    if epsilon is None:
-        raise ValueError("epsilon must be positive")
-    return int(intersection_counts_batch(_row(traj, t), epsilon))
-
-
-def occupancy_histogram(traj, t=0, epsilon: float = None,
-                        alpha: float = 0.0) -> dict:
+def occupancy_histogram(row, epsilon: float, alpha: float = 0.0) -> dict:
     """Occupancies {z: l(z)} of the occupied half-open bins
-    (z*eps - alpha*eps, z*eps + (1-alpha)*eps]; every site lands in
-    exactly one bin."""
-    if epsilon is None or not epsilon > 0:
+    (z*eps - alpha*eps, z*eps + (1-alpha)*eps] of one row of sites; every
+    site lands in exactly one bin."""
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    x = _row(traj, t)
+    x = np.asarray(row, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"need one row of sites, got shape {x.shape}")
     # x in (z*e - a*e, z*e + (1-a)*e]  <=>  x/e + a in (z, z+1]
     z = np.ceil(x / epsilon + alpha).astype(np.int64) - 1
     vals, cnts = np.unique(z, return_counts=True)
@@ -242,18 +228,18 @@ class InequalityReport:
     chain_holds: bool | None = None
 
 
-def local_inequality_check(traj, t=0, epsilon: float = None,
-                           alpha: float = 0.0,
+def local_inequality_check(row, epsilon: float, alpha: float = 0.0,
                            window: tuple[int, int] | None = None
                            ) -> InequalityReport:
-    """Near pairs dominate the occupancy square sum: sites sharing a bin
-    of width eps are within eps of each other, so N >= sum_z l(z)^2.
+    """Near pairs of one row dominate its occupancy square sum: sites
+    sharing a bin of width eps are within eps of each other, so
+    N >= sum_z l(z)^2.
 
     With a bin window [z-, z+) the quadratic-mean step is also reported:
     (sum of l over the window)^2 / (number of window bins) <= sum l^2 <= N.
     """
-    N = self_intersection_count(traj, t, epsilon)
-    hist = occupancy_histogram(traj, t, epsilon, alpha)
+    hist = occupancy_histogram(row, epsilon, alpha)
+    N = int(intersection_counts_batch(row, epsilon))
     sq = sum(v * v for v in hist.values())
     rep = dict(lhs=N, rhs=sq, holds=N >= sq)
     if window is not None:

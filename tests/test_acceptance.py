@@ -107,7 +107,7 @@ def test_criterion_5_occupancy_inequality():
         eps = 10.0 ** rng.uniform(-2.0, 1.0)
         alpha = rng.uniform(0.0, 1.0)
         window = (-3, 4) if k % 10 == 0 else None
-        rep = local_inequality_check(row, 0, eps, alpha, window)
+        rep = local_inequality_check(row, eps, alpha, window)
         if not rep.holds:
             violations += 1
         if window is not None and not rep.chain_holds:

@@ -137,6 +137,24 @@ def test_gibbs_degenerate_beta_prints_only_the_typed_message(capsys):
     assert err.count("\n") == 1 and out == ""
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_gibbs_single_draw_reports_no_log_z_se(capsys):
+    # one draw has no spread to estimate: log_Z_se is null, with no numpy
+    # warning on the way and no NaN in the JSON line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "gibbs", "--J", "8", "--T", "4",
+                             "--replicates", "1", "--sampler", "importance")
+    assert code == 0
+    assert [str(w.message) for w in caught] == [] and err == ""
+    line = json.loads(out.splitlines()[-1], parse_constant=_reject_constant)
+    assert line["n"] == 1 and line["log_Z_se"] is None
+    assert line["log_Z_hat"] is not None
+
+
 def test_gibbs_auto_keeps_importance_for_uniform_weights(capsys):
     code, out, _ = run(capsys, "gibbs", "--sampler", "auto", "--beta", "0",
                        "--replicates", "50")
@@ -160,10 +178,12 @@ def test_ldp_probe_row(capsys):
     assert len(out.strip().split("\n")) == 3
 
 
-def test_ldp_bad_rho_exits_one(capsys):
-    code, _, err = run(capsys, "ldp", "--rho", "1.5", "--x", "1")
-    assert code == 1
-    assert "invariant failure" in err
+def test_ldp_bad_rho_exits_two(capsys):
+    # AR1Params' bound on rho, reported as bad configuration
+    code, out, err = run(capsys, "ldp", "--rho", "1.5", "--x", "1")
+    assert code == 2 and out == ""
+    assert err == ("configuration error: rho must lie in (-1, 1), "
+                   "got 1.5\n")
 
 
 def test_scaling_smoke(tmp_path, capsys):
@@ -258,7 +278,18 @@ def test_bad_flag_value_exits_two(capsys):
                  ("scaling", "--J", "8,8,16", "--T", "4", "--replicates",
                   "10"),
                  ("scaling", "--J", "8,8,8", "--T", "4", "--replicates",
-                  "10")):
+                  "10"),
+                 # the exponent fit needs three widths: refused before any
+                 # cell is sampled
+                 ("scaling", "--J", "8,16", "--T", "8", "--replicates",
+                  "10"),
+                 # the bounds of AR1Params, of the zero-variance check and
+                 # of tail_probe's threshold (K above the stationary mean
+                 # 1 / (1 - 0.6^2) = 1.5625)
+                 ("ldp", "--rho", "1.0"), ("ldp", "--sigma2", "0"),
+                 ("ldp", "--sigma2", "-1"),
+                 ("ldp", "--rho", "0.6", "--K", "1", "--T", "10",
+                  "--replicates", "100")):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "configuration error" in err
@@ -379,6 +410,19 @@ def test_unwritable_out_fails_before_any_cell(argv, cell, cells, tmp_path,
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "reports"))
     assert code == 0
     assert len(calls) == cells
+
+
+def test_scaling_with_two_widths_fails_before_any_cell(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "_scaling_cell",
+                        lambda *a: calls.append(a))
+    out_dir = tmp_path / "reports"
+    code, _, err = run(capsys, "scaling", "--J", "8,16", "--T", "8",
+                       "--replicates", "10", "--out", str(out_dir))
+    assert code == 2
+    assert "needs at least 3 widths" in err
+    assert calls == [] and not out_dir.exists()
 
 
 # the CLI's import graph is numpy-only: scipy alone took ~1.1 s of a

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ def test_parse_report_csv_typing():
 def test_emit_report_csv_round_trip(tmp_path):
     rep = run_scaling_study(_small_cfg())
     path = emit_report(rep, "csv", str(tmp_path))
-    back = parse_report_csv(open(path).read())
+    back = parse_report_csv(Path(path).read_text())
     for orig, parsed in zip(rep.rows, back):
         for k in ("J", "R_mean", "R_exact", "flagged"):
             if isinstance(orig[k], float):

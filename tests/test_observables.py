@@ -10,11 +10,10 @@ from polymerlab.dynamics import sample_noise, simulate_recursion
 from polymerlab.observables import (_BROADCAST_BLOCK, _pair_index,
                                     intersection_counts_batch,
                                     local_inequality_check, near_pairs,
-                                    occupancy_histogram, radius_of_gyration,
-                                    self_intersection_count)
+                                    occupancy_histogram, radius_of_gyration)
 
 
-def self_intersection_count_brute(rows, epsilon):
+def intersection_counts_brute(rows, epsilon):
     """Quadratic oracle: direct subtraction over every ordered pair, for
     one row or a batch (..., J)."""
     x = np.asarray(rows, dtype=float)
@@ -36,7 +35,7 @@ def test_radius_of_gyration_hand_value():
 
 def test_count_constant_row_is_square():
     row = np.zeros(7)
-    assert self_intersection_count(row, 0, 0.5) == 49
+    assert intersection_counts_batch(row, 0.5) == 49
     # past the broadcast limit the lag scan must run to lag J - 1
     for J in (1, 2, 7, 64, 130):
         rows = np.zeros((_BROADCAST_BLOCK // (J * J) + 1, J))
@@ -46,21 +45,21 @@ def test_count_constant_row_is_square():
 
 def test_count_spread_row_is_diagonal():
     row = np.arange(6) * 10.0
-    assert self_intersection_count(row, 0, 0.5) == 6
+    assert intersection_counts_batch(row, 0.5) == 6
 
 
 def test_count_bounds_hold():
     for seed in range(20):
         row = np.random.default_rng(seed).normal(size=9)
-        n = self_intersection_count(row, 0, 0.3)
+        n = intersection_counts_batch(row, 0.3)
         assert 9 <= n <= 81
 
 
 def test_count_matches_brute_on_ties():
     # exact-boundary pairs: |diff| == eps counts, just beyond does not
     row = np.array([0.0, 0.5, 1.0 + 1e-12])
-    assert (self_intersection_count(row, 0, 0.5)
-            == self_intersection_count_brute(row, 0.5))
+    assert (intersection_counts_batch(row, 0.5)
+            == intersection_counts_brute(row, 0.5))
 
 
 # dyadic lattice: differences are exact, so boundary ties |u_i - u_j| ==
@@ -72,8 +71,8 @@ def test_count_matches_brute_on_ties():
 def test_count_sorted_equals_brute(grid_values, grid_eps):
     row = np.array(grid_values, dtype=float) / 1024.0
     eps = grid_eps / 1024.0
-    assert (self_intersection_count(row, 0, eps)
-            == self_intersection_count_brute(row, eps))
+    assert (intersection_counts_batch(row, eps)
+            == intersection_counts_brute(row, eps))
 
 
 # widths 1-24, 33-64 and 65-130 with batches on both sides of the one-call
@@ -110,7 +109,7 @@ def test_batch_counts_equal_brute_both_paths(J, grid_eps, kind, data):
             half = rng.random(J) < 0.5
             rows[:, half] = rows[:, rng.integers(0, J, half.sum())] + eps
     assert (intersection_counts_batch(rows, eps).tolist()
-            == self_intersection_count_brute(rows, eps).tolist())
+            == intersection_counts_brute(rows, eps).tolist())
 
 
 # width-65 rows on which the old J > 64 search miscounted: a pair whose
@@ -124,8 +123,8 @@ def test_batch_counts_equal_brute_both_paths(J, grid_eps, kind, data):
 ])
 def test_rounded_and_non_finite_rows_count_like_the_oracle(row, eps, expect):
     with np.errstate(invalid="ignore"):
-        assert self_intersection_count_brute(row, eps) == expect
-        assert self_intersection_count(row, 0, eps) == expect
+        assert intersection_counts_brute(row, eps) == expect
+        assert intersection_counts_batch(row, eps) == expect
         rows = np.tile(row, (16, 1))             # past the broadcast limit
         assert intersection_counts_batch(rows, eps).tolist() == [expect] * 16
 
@@ -144,7 +143,7 @@ def _check_near_pairs(rows, eps):
             assert np.array_equal(near_pairs(rows, eps), mask)
     counts = (J + 2 * mask.sum(axis=-1)).tolist()
     assert counts == intersection_counts_batch(rows, eps).tolist()
-    assert counts == self_intersection_count_brute(rows, eps).tolist()
+    assert counts == intersection_counts_brute(rows, eps).tolist()
 
 
 # widths 1-40 in three kinds of rows: the dyadic lattice (many pairs
@@ -195,7 +194,7 @@ def _brute_by_slices(rows, epsilon):
     """The brute oracle over 64 rows at a time, which keeps its
     (rows, J, J) temporary small."""
     flat = rows.reshape(-1, rows.shape[-1])
-    parts = [self_intersection_count_brute(flat[i:i + 64], epsilon)
+    parts = [intersection_counts_brute(flat[i:i + 64], epsilon)
              for i in range(0, len(flat), 64)]
     return np.concatenate(parts).reshape(rows.shape[:-1])
 
@@ -243,12 +242,12 @@ def test_batch_counts_keep_leading_shape_across_blocks():
     rows = np.random.default_rng(2).normal(size=(3, 25, 48))
     counts = intersection_counts_batch(rows, 0.3)
     assert counts.shape == (3, 25)
-    assert counts.tolist() == self_intersection_count_brute(rows, 0.3).tolist()
+    assert counts.tolist() == intersection_counts_brute(rows, 0.3).tolist()
 
 
 def test_occupancy_histogram_totals():
     traj = _traj(7, T=3, J=8)
-    hist = occupancy_histogram(traj, 2, 0.5, 0.25)
+    hist = occupancy_histogram(traj.u[2], 0.5, 0.25)
     assert sum(hist.values()) == 8
     assert sum(c * c for c in hist.values()) >= 8
     assert all(c > 0 for c in hist.values())
@@ -257,28 +256,28 @@ def test_occupancy_histogram_totals():
 def test_occupancy_histogram_maps_bins_to_counts():
     # x lands in bin z when x / eps + alpha lies in (z, z + 1]
     row = np.array([0.1, 0.2, 3.0, -0.5, 0.5])
-    assert occupancy_histogram(row, 0, 0.5) == {-2: 1, 0: 3, 5: 1}
-    assert occupancy_histogram(row, 0, 0.5, 1.0) == {-1: 1, 1: 3, 6: 1}
+    assert occupancy_histogram(row, 0.5) == {-2: 1, 0: 3, 5: 1}
+    assert occupancy_histogram(row, 0.5, 1.0) == {-1: 1, 1: 3, 6: 1}
 
 
 def test_histogram_shift_keeps_total():
     traj = _traj(8, T=2, J=5)
     for alpha in (0.0, 0.3, 0.9):
-        assert sum(occupancy_histogram(traj, 1, 0.7, alpha).values()) == 5
+        assert sum(occupancy_histogram(traj.u[1], 0.7, alpha).values()) == 5
 
 
 def test_local_inequality_random_sweep():
     rng = np.random.default_rng(11)
     for _ in range(200):
         row = rng.normal(scale=2.0, size=10)
-        rep = local_inequality_check(row, 0, 0.5, rng.uniform())
+        rep = local_inequality_check(row, 0.5, rng.uniform())
         assert rep.holds
         assert rep.lhs >= 10
 
 
 def test_local_inequality_window_chain():
     row = np.array([0.1, 0.2, 0.3, 5.0, 5.1, -4.0])
-    rep = local_inequality_check(row, 0, 0.5, 0.0, window=(-2, 3))
+    rep = local_inequality_check(row, 0.5, 0.0, window=(-2, 3))
     assert rep.holds and rep.chain_holds
     assert rep.window_bin_count >= 1
     assert rep.window_quadratic_mean_bound <= rep.rhs + 1e-9
@@ -287,20 +286,28 @@ def test_local_inequality_window_chain():
 def test_inequality_tight_case():
     # all sites in one bin: N = J^2 equals the square-sum exactly
     row = np.full(6, 0.2)
-    rep = local_inequality_check(row, 0, 1.0, 0.0)
+    rep = local_inequality_check(row, 1.0, 0.0)
     assert rep.lhs == 36 and rep.rhs == 36
 
 
 def test_epsilon_validation():
-    with pytest.raises(ValueError):
-        self_intersection_count(np.zeros(3), 0, 0.0)
-    with pytest.raises(ValueError):
-        intersection_counts_batch(np.zeros((2, 3)), -1.0)
     # a nan eps compares false with everything: raise, do not count nothing
     for count in (intersection_counts_batch, near_pairs):
         for eps in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError):
                 count(np.zeros((2, 3)), eps)
-    for eps in (0.0, np.nan):
-        with pytest.raises(ValueError):
-            occupancy_histogram(np.array([0.1, 0.2, 3.0]), 0, eps)
+    for observe in (occupancy_histogram, local_inequality_check):
+        for eps in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                observe(np.array([0.1, 0.2, 3.0]), eps)
+
+
+@pytest.mark.parametrize("rows", [np.float64(0.3), np.zeros((2, 5)),
+                                  np.zeros((1, 5))])
+def test_observables_take_one_row(rows):
+    # a batch, even of one row, or a bare site is not a row: no time index
+    # picks a row out of it
+    with pytest.raises(ValueError, match="one row"):
+        occupancy_histogram(rows, 0.5)
+    with pytest.raises(ValueError, match="one row"):
+        local_inequality_check(rows, 0.5)
