@@ -83,7 +83,7 @@ def _cmd_spectra(cfg, args) -> int:
                     cfg.output_dir, "spectra.csv")
     err = abs(cosecant_square_sum(J) - (J * J - 1) / 3.0)
     print(_json_line({"J": J, "kappa": cfg.kappa,
-                      "c0": normalizing_constant_c0(J) if J >= 2 else None,
+                      "c0": normalizing_constant_c0(J),
                       "csc2_identity_error": err}), file=sys.stderr)
     return 0 if err < 1e-9 else 1
 

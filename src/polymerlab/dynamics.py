@@ -180,6 +180,14 @@ class FreeModes:
         of J - 1 standard normals."""
         return rng.standard_normal((size, len(self.rho))) * self.x0
 
+    def variance(self, t) -> np.ndarray:
+        """Var X_t per mode at the times t, shape t.shape + (J - 1,):
+        x0^2 rho^(2t) + s (1 - rho^(2t)), s = sig^2 / (1 - rho^2) the
+        stationary variance."""
+        r2t = self.rho ** (2 * np.asarray(t)[..., None])
+        stat = self.sig ** 2 / (1.0 - self.rho ** 2)
+        return self.x0 ** 2 * r2t + stat * (1.0 - r2t)
+
     def variance_sum(self, T: int) -> np.ndarray:
         """Sum over t = 1..T of Var X_t per mode.  Var X_t relaxes
         geometrically from x0^2 to the stationary sig^2 / (1 - rho^2);

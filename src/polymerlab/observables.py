@@ -202,8 +202,8 @@ def near_pairs(rows: np.ndarray, epsilon: float) -> np.ndarray:
 
 def occupancy_histogram(row, epsilon: float, alpha: float = 0.0) -> dict:
     """Occupancies {z: l(z)} of the occupied half-open bins
-    (z*eps - alpha*eps, z*eps + (1-alpha)*eps] of one row of sites; every
-    site lands in exactly one bin."""
+    (z*eps - alpha*eps, z*eps + (1-alpha)*eps] of one row of finite
+    sites; every site lands in exactly one bin."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not (0.0 <= alpha <= 1.0):
@@ -211,6 +211,9 @@ def occupancy_histogram(row, epsilon: float, alpha: float = 0.0) -> dict:
     x = np.asarray(row, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"need one row of sites, got shape {x.shape}")
+    # a nan or infinite site has no bin and pairs with no other site
+    if not np.isfinite(x).all():
+        raise ValueError("need one row of finite sites, got a non-finite one")
     # x in (z*e - a*e, z*e + (1-a)*e]  <=>  x/e + a in (z, z+1]
     z = np.ceil(x / epsilon + alpha).astype(np.int64) - 1
     vals, cnts = np.unique(z, return_counts=True)

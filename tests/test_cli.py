@@ -142,8 +142,8 @@ def _reject_constant(name):
 
 
 def test_gibbs_single_draw_reports_no_log_z_se(capsys):
-    # one draw has no spread to estimate: log_Z_se is null, with no numpy
-    # warning on the way and no NaN in the JSON line
+    # one draw has no spread to estimate: log_Z_se and Q_se are null, with
+    # no numpy warning on the way and no NaN in the JSON line
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, "gibbs", "--J", "8", "--T", "4",
@@ -152,6 +152,7 @@ def test_gibbs_single_draw_reports_no_log_z_se(capsys):
     assert [str(w.message) for w in caught] == [] and err == ""
     line = json.loads(out.splitlines()[-1], parse_constant=_reject_constant)
     assert line["n"] == 1 and line["log_Z_se"] is None
+    assert line["Q_se"] is None and line["Q_mean"] is not None
     assert line["log_Z_hat"] is not None
 
 

@@ -147,11 +147,18 @@ def test_free_modes_rejects_unknown_init():
 def test_variance_sum_meets_the_recursion(J, init, conv):
     modes = free_modes(build_basis(J), conv, init)
     var, acc = modes.x0 ** 2, np.zeros(J - 1)
+    per_step = modes.variance(np.arange(1, 201))
+    assert per_step.shape == (200, J - 1)
     for T in range(1, 201):
         var = modes.rho ** 2 * var + modes.sig ** 2
         acc += var
+        assert per_step[T - 1] == pytest.approx(var, rel=1e-12)
         if T in (1, 2, 7, 64, 200):
             assert modes.variance_sum(T) == pytest.approx(acc, rel=1e-12)
+            assert modes.variance(T) == pytest.approx(var, rel=1e-12)
+            # the per-step variances sum to the closed form
+            assert per_step[:T].sum(axis=0) == pytest.approx(
+                modes.variance_sum(T), rel=1e-12)
 
 
 def test_stationary_field_covariance():

@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -9,14 +10,14 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import ks_2samp, norm
 
-from polymerlab.dynamics import (counter_rng, mode_innovation_std,
-                                 neumann_laplacian)
+from polymerlab.dynamics import (counter_rng, free_modes,
+                                 mode_innovation_std, neumann_laplacian)
 from polymerlab.experiments import _stationary_mode_r, scaling_exact_r2
 from polymerlab.gibbs import (SamplerDegeneracyError, WeightedEnsemble,
                               _NoiseChain,
                               estimate_measure, jensen_lower_bound,
-                              logsumexp, metropolis_sampler, sample_ensemble,
-                              sample_measure)
+                              mean_pair_counts, metropolis_sampler,
+                              sample_ensemble, sample_measure)
 from polymerlab import gibbs, observables
 from polymerlab.observables import intersection_counts_batch
 from polymerlab.spectral import Convention, build_basis
@@ -50,40 +51,28 @@ def test_zero_beta_partition_is_one():
     assert est["ess"] == pytest.approx(50.0)
 
 
-# log weights are integer multiples of -beta, so maxima tie; the ties
-# decide how scipy's logsumexp rounds, and estimates must not move
-_TIED = -0.02 * np.array([3.0, 1.0, 1.0, 2.0, 1.0, 5.0, 4.0])
+# log weights are integer multiples of -beta, so maxima tie; these lie
+# far below the scale where exp underflows
 _NEAR_700 = -0.5 * (1400.0 + np.random.default_rng(4).integers(0, 30, 500))
 
 
-@pytest.mark.parametrize("a", [
-    _TIED, np.full(9, -1.3), np.array([-4.2]), np.array([0.0]),
-    _NEAR_700, np.random.default_rng(5).normal(scale=3.0, size=1000),
-    np.array([-np.inf, -2.0, -2.0]), np.full(3, -np.inf),
-    np.array([1.0, np.inf]), np.array([np.nan, 1.0]),
-], ids=["tied", "all_equal", "one", "zero", "near_minus_700", "untied",
-        "minus_inf_entry", "all_minus_inf", "plus_inf", "nan"])
-def test_logsumexp_equals_scipy_bit_for_bit(a):
-    for x in (a, 2.0 * a):
-        got, want = logsumexp(x), float(scipy_logsumexp(x))
-        assert got == want or (np.isnan(got) and np.isnan(want))
-
-
 def test_estimate_measure_on_tied_weights_matches_scipy():
-    lw = _NEAR_700
-    ens = WeightedEnsemble(obs={"R": np.linspace(1.0, 2.0, lw.size)},
-                           log_weights=lw, beta=0.5, epsilon=0.5,
-                           base_measure="P_T", J=28, T=50)
-    est = estimate_measure(ens, "R", ess_floor=1.0)
-    shifted = lw - lw.max()
-    ess = np.exp(2.0 * scipy_logsumexp(shifted)
-                 - scipy_logsumexp(2.0 * shifted))
-    wn = np.exp(lw - scipy_logsumexp(lw))
-    x = ens.obs["R"]
-    assert est["ess"] == ess
-    assert est["Q_mean"] == np.dot(wn, x)
-    assert est["log_Z_hat"] == (-700.0 + scipy_logsumexp(lw + 700.0)
-                                - np.log(lw.size))
+    # scipy's logsumexp is the oracle; a -inf log weight is a zero weight
+    for lw in (_NEAR_700, np.append(_NEAR_700, -np.inf)):
+        ens = WeightedEnsemble(obs={"R": np.linspace(1.0, 2.0, lw.size)},
+                               log_weights=lw, beta=0.5, epsilon=0.5,
+                               base_measure="P_T", J=28, T=50)
+        est = estimate_measure(ens, "R", ess_floor=1.0)
+        shifted = lw - lw.max()
+        ess = np.exp(2.0 * scipy_logsumexp(shifted)
+                     - scipy_logsumexp(2.0 * shifted))
+        wn = np.exp(lw - scipy_logsumexp(lw))
+        x = ens.obs["R"]
+        assert est["ess"] == pytest.approx(ess, rel=1e-13, abs=0)
+        assert est["Q_mean"] == pytest.approx(np.dot(wn, x), rel=1e-13,
+                                              abs=0)
+        assert est["log_Z_hat"] == pytest.approx(
+            scipy_logsumexp(lw) - np.log(lw.size), rel=1e-13, abs=0)
 
 
 def test_weighted_mean_hand_example():
@@ -318,7 +307,42 @@ def test_jensen_rejects_fewer_than_two_samples_before_any_draw(samples):
         warnings.simplefilter("error")
         r = jensen_lower_bound(build_basis(4), 8, 0.01, 0.5, 0.0, 2, seed=1,
                                ess_floor=1.0)
-    assert np.isfinite(r["bound_se"])
+    assert np.isfinite(r["logZ_se_over_T"])
+
+
+def test_jensen_bound_takes_the_zero_start_mean():
+    # log Z comes from the zero profile, so E[N] must too: the stationary
+    # mean (17.40 per step) put the "bound" above log Z / T here
+    r = jensen_lower_bound(build_basis(8), 8, 0.1, 0.5, 0.0, 20_000, seed=3)
+    assert r["holds"]
+    assert r["mean_pairs"] == pytest.approx(19.7705, abs=1e-4)
+    assert r["bound"] == pytest.approx(-1.97705, abs=1e-5)
+
+
+def test_mean_pair_counts_exact_values():
+    def per_step(J, conv=Convention.LITERAL):
+        modes = free_modes(build_basis(J), conv, "zero")
+        return mean_pair_counts(modes, 8, 0.5)
+    assert per_step(4).mean() == pytest.approx(6.76312, abs=1e-5)
+    assert per_step(8).mean() == pytest.approx(19.7705, abs=1e-4)
+    assert np.array_equal(per_step(1), np.ones(8))
+    # J = 2, LITERAL: rho = 0, so u_0 - u_1 ~ N(0, 2) at every step
+    assert per_step(2) == pytest.approx(2.0 + 2.0 * math.erf(0.25),
+                                        rel=1e-15)
+    # J = 2, PAPER: the one mode is frozen, so both sites stay together
+    assert np.array_equal(per_step(2, Convention.PAPER), np.full(8, 4.0))
+
+
+@pytest.mark.parametrize("J", [4, 8])
+@pytest.mark.parametrize("conv", list(Convention))
+def test_zero_beta_pair_sum_meets_the_exact_mean(J, conv):
+    b = build_basis(J)
+    exact = mean_pair_counts(free_modes(b, conv, "zero"), 8, 0.5).sum()
+    for seed in (4401, 4402, 4403):
+        n_sum = sample_ensemble(b, 8, 0.0, 0.5, 20_000, seed,
+                                conv=conv).obs["N_sum"]
+        se = n_sum.std(ddof=1) / np.sqrt(n_sum.size)
+        assert abs(n_sum.mean() - exact) < 4.0 * se, (seed, exact)
 
 
 def test_metropolis_zero_beta_accepts_everything():

@@ -303,10 +303,14 @@ def test_epsilon_validation():
 
 
 @pytest.mark.parametrize("rows", [np.float64(0.3), np.zeros((2, 5)),
-                                  np.zeros((1, 5))])
+                                  np.zeros((1, 5)),
+                                  np.array([np.nan, 0.1, 0.2]),
+                                  np.array([0.1, np.inf, 0.2]),
+                                  np.array([0.1, 0.2, -np.inf])])
 def test_observables_take_one_row(rows):
     # a batch, even of one row, or a bare site is not a row: no time index
-    # picks a row out of it
+    # picks a row out of it; a nan or infinite site has no bin, so its row
+    # is rejected rather than reported as a false violation
     with pytest.raises(ValueError, match="one row"):
         occupancy_histogram(rows, 0.5)
     with pytest.raises(ValueError, match="one row"):

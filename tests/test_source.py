@@ -31,6 +31,40 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused
 
 
+def _scipy_imports(tree: ast.Module) -> list:
+    """Lines of every import of scipy, at module level or inside a
+    function."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        lines += [node.lineno for name in names
+                  if name.split(".")[0] == "scipy"]
+    return lines
+
+
+def test_no_module_imports_scipy():
+    # the package is numpy-only; scipy is a test oracle
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _scipy_imports(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found
+
+
+def test_the_guard_flags_a_lazy_scipy_import():
+    tree = ast.parse("import numpy as np\n"
+                     "def f(x):\n"
+                     "    from scipy.special import erf\n"
+                     "    import scipy.stats as st, os\n"
+                     "    from . import scipy\n"
+                     "    return erf(x)\n")
+    assert _scipy_imports(tree) == [3, 4]
+
+
 def test_the_guard_flags_an_unused_import():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os.path\n"
