@@ -25,8 +25,8 @@ from .ar1 import (AR1Params, legendre_rate, mode_decompose, rate_function,
                   reconstruct_centered, square_sums)
 from .dynamics import (counter_rng, free_modes, sample_noise,
                        simulate_recursion, solution_formula)
-from .gibbs import (SAMPLERS, SamplerDegeneracyError, jensen_lower_bound,
-                    sample_measure)
+from .gibbs import (SAMPLERS, SamplerDegeneracyError, _checked_weights,
+                    jensen_lower_bound, sample_measure)
 from .increments import monte_carlo_increment_check
 from .observables import local_inequality_check, radius_of_gyration
 from .spectral import (MAX_J, Basis, Convention, build_basis,
@@ -133,6 +133,19 @@ _FIELD_PARSERS = {
     for name, kind in typing.get_type_hints(StudyConfig).items()}
 
 
+def _parse_field(key: str, val, where: str):
+    """One config value through its key's parser; any failure is a
+    ConfigError whose message starts with `where`."""
+    if key not in _FIELD_PARSERS:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    try:
+        return _FIELD_PARSERS[key](val)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}bad value for {key}: {val!r}") from exc
+
+
 def parse_config_text(text: str) -> dict:
     """Flat key=value lines; '#' starts a comment; unknown keys are hard
     errors because a silently dropped beta or epsilon corrupts a study."""
@@ -146,16 +159,7 @@ def parse_config_text(text: str) -> dict:
                               f"{raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
-        if key not in _FIELD_PARSERS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            out[key] = _FIELD_PARSERS[key](val)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(
-                f"line {lineno}: bad value for {key}: {val!r}") from exc
+        out[key] = _parse_field(key, val.strip(), f"line {lineno}: ")
     return out
 
 
@@ -170,11 +174,8 @@ def load_config(path: str = None, overrides: dict = None,
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if key not in _FIELD_PARSERS:
-            raise ConfigError(f"unknown override {key!r}")
-        values[key] = _FIELD_PARSERS[key](val)
+        if val is not None:
+            values[key] = _parse_field(key, val, "override: ")
     try:
         return StudyConfig(**values)
     except ConfigError:
@@ -235,9 +236,9 @@ def _stationary_mode_r(basis: Basis, T: int, reps: int, rng,
                                modes.start(rng, reps), T) / (T * basis.J))
 
 
-def _weighted_rms_quantiles(R: np.ndarray, log_w: np.ndarray):
-    wn = np.exp(log_w - log_w.max())
-    wn = wn / wn.sum()
+def _weighted_rms_quantiles(R: np.ndarray, w: np.ndarray):
+    """Quadratic mean and 5 %/95 % quantiles of R under the weights w."""
+    wn = w / w.sum()
     rms = float(np.sqrt(np.dot(wn, R ** 2)))
     order = np.argsort(R)
     cum = np.cumsum(wn[order])
@@ -249,7 +250,8 @@ def _stationary_cell_r(config: StudyConfig, basis: Basis, T: int, key: int,
                        tag: int, sampler: str):
     """Gyration radii of one study cell started from the stationary law:
     sampled directly at beta=0, through sample_measure otherwise.
-    Returns (R, log weights or None, ESS or acceptance, sampler label)."""
+    Returns (R, max-shifted weights or None, ESS or acceptance, sampler
+    label)."""
     reps, conv = config.replicates, config.convention
     if config.beta == 0.0:
         rng = counter_rng(config.seed, tag, key)
@@ -260,7 +262,7 @@ def _stationary_cell_r(config: StudyConfig, basis: Basis, T: int, key: int,
                          config.ess_floor, "stationary", conv)
     R = ens.obs["R"]
     if ens.base_measure == "P_T":
-        return R, ens.log_weights, ens.diagnostics["ess"], "importance"
+        return (R, *_checked_weights(ens, config.ess_floor), "importance")
     return R, None, ens.diagnostics["acceptance_rate"], "metropolis"
 
 
@@ -279,8 +281,8 @@ def _scaling_cell(config: StudyConfig, J: int) -> dict:
                     "flagged": True, "detail": "frozen string"})
         return row
     try:
-        R, log_w, diag, label = _stationary_cell_r(config, basis, config.T,
-                                                   J, 10, config.sampler)
+        R, w, diag, label = _stationary_cell_r(config, basis, config.T, J,
+                                               10, config.sampler)
     except SamplerDegeneracyError as exc:
         row.update({"R_mean": float("nan"), "R_q05": float("nan"),
                     "R_q95": float("nan"), "ESS_or_acceptance": 0.0,
@@ -288,11 +290,11 @@ def _scaling_cell(config: StudyConfig, J: int) -> dict:
                     "detail": str(exc)})
         return row
 
-    if log_w is None:
+    if w is None:
         rms = float(np.sqrt(np.mean(R ** 2)))
         q05, q95 = np.quantile(R, [0.05, 0.95])
     else:
-        rms, (q05, q95) = _weighted_rms_quantiles(R, log_w)
+        rms, (q05, q95) = _weighted_rms_quantiles(R, w)
     row.update({"R_mean": quantize12(rms), "R_q05": quantize12(q05),
                 "R_q95": quantize12(q95),
                 "ESS_or_acceptance": quantize12(diag), "sampler": label})

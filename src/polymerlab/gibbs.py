@@ -249,16 +249,17 @@ def jensen_lower_bound(basis: Basis, T: int, beta: float, epsilon: float,
 class _NoiseChain:
     """Metropolis state over the white-noise representation of a string.
 
-    The state is the field noise xi (T x J standard normals) plus, under
-    stationary initialization, a white vector w0 for the initial modes.
-    Proposals are preconditioned Crank-Nicolson moves: they mix a scaled
-    fresh draw into part of the state, x' = keep x + scale z with
+    The state is the white mode noise W (T x (J - 1) standard normals,
+    the innovations of the modes m >= 1 in units of their sig) plus,
+    under stationary initialization, a white vector w0 for the initial
+    modes.  Proposals are preconditioned Crank-Nicolson moves: they mix a
+    scaled fresh draw into part of the state, x' = keep x + scale z with
     keep = sqrt(1 - scale^2), which leaves the Gaussian base invariant, so
     the acceptance ratio reduces to the Boltzmann factor alone.
 
-    Modes m >= 1 are evolved; the mean mode shifts every site equally and
-    affects neither the weight nor any reported observable.  A change c
-    of the mode innovation at row s moves the sites of rows s.. by
+    The mean mode shifts every site equally and affects neither the
+    weight nor any reported observable, so it is not kept.  A change c of
+    the mode innovation at row s moves the sites of rows s.. by
     (rho^k c) @ e1, k = 0, 1, ..., and the initial-vector move by
     rho^(k+1) c; sweeps add these to the rows u (times 1..T) in place and
     keep no mode trajectory.  _rebuild() evolves the modes from the white
@@ -275,7 +276,6 @@ class _NoiseChain:
 
     def __init__(self, basis, T, beta, epsilon, rng, init, conv, scale):
         self.T = T
-        self.J = basis.J
         self.beta = beta
         self.epsilon = epsilon
         self.rng = rng
@@ -286,18 +286,17 @@ class _NoiseChain:
                                                 modes.x0, modes.e1)
         self.init = init
         self.w0 = rng.standard_normal(basis.J - 1)
-        self.xi = rng.standard_normal((T, basis.J))
+        self.W = rng.standard_normal((T, basis.J - 1))
         # rho^k rows for k = 0..T, shared by every tail update
         self.rho_pow = self.rho[None, :] ** np.arange(T + 1)[:, None]
         self._rebuild()
 
     def _rebuild(self):
         """Rows u and their mask, evolved from the white state."""
-        xim = self.xi @ self.e1.T            # per-row mode innovations
         x = self.w0 * self.x0
         X = np.empty((self.T, len(self.rho)))
         for t in range(self.T):
-            x = X[t] = self.rho * x + self.sig * xim[t]
+            x = X[t] = self.rho * x + self.sig * self.W[t]
         self.u = X @ self.e1
         self.near = near_pairs(self.u, self.epsilon)
 
@@ -317,45 +316,33 @@ class _NoiseChain:
         return count, True
 
     def sweep(self):
-        """One sweep: at each row s a whole-row move, then a move of one
-        entry at a uniform site, and under stationary initialization a
-        final initial-vector move.  Every random number of the sweep is
-        drawn up front, in this order: the row moves' (T, J) normals, the
-        entries' T sites, their T normals and one uniform per proposal
-        (2T + 1); the initial-vector move's J - 1 normals follow the
+        """One sweep: a whole-row move at each row s in turn, and under
+        stationary initialization a final initial-vector move: T (+1)
+        proposals.  Every random number of the sweep is drawn up front,
+        in this order: the row moves' (T, J - 1) normals and T + 1
+        uniforms; the initial-vector move's J - 1 normals follow the
         scan.  A proposal that adds d near pairs is accepted when d <= 0
         or log V < -2 beta d.  Returns the number of accepted proposals.
         """
-        T, rng, xi, sig = self.T, self.rng, self.xi, self.sig
-        Z = rng.standard_normal((T, self.J))
-        sites = rng.integers(self.J, size=T).tolist()
-        z1 = (self.scale * rng.standard_normal(T)).tolist()
-        log_v = np.log(rng.random(2 * T + 1)).tolist()
-        # xi[s] changes only at row s, so every row move is known up front
-        new_rows = self.keep * xi + self.scale * Z
-        C = ((new_rows - xi) @ self.e1.T) * sig
+        T, rng, W = self.T, self.rng, self.W
+        Z = rng.standard_normal(W.shape)
+        log_v = np.log(rng.random(T + 1)).tolist()
+        # W[s] changes only at row s, so every row move is known up front
+        new_rows = self.keep * W + self.scale * Z
+        C = (new_rows - W) * self.sig
         tail = int(np.count_nonzero(self.near))
         accepted = 0
         for s in range(T):
-            tail, ok = self._propose(s, 0, C[s], tail, log_v[2 * s])
+            tail, ok = self._propose(s, 0, C[s], tail, log_v[s])
             if ok:
-                xi[s] = new_rows[s]
-                accepted += 1
-            n = sites[s]
-            old = float(xi[s, n])
-            new = self.keep * old + z1[s]
-            tail, ok = self._propose(s, 0, self.e1[:, n] * (new - old) * sig,
-                                     tail, log_v[2 * s + 1])
-            if ok:
-                xi[s, n] = new
+                W[s] = new_rows[s]
                 accepted += 1
             tail -= int(np.count_nonzero(self.near[s]))
         if self.init == "stationary":
             new_w0 = self.keep * self.w0 + self.scale * rng.standard_normal(
                 len(self.rho))
             _, ok = self._propose(0, 1, (new_w0 - self.w0) * self.x0,
-                                  int(np.count_nonzero(self.near)),
-                                  log_v[2 * T])
+                                  int(np.count_nonzero(self.near)), log_v[T])
             if ok:
                 self.w0 = new_w0
                 accepted += 1
@@ -372,17 +359,18 @@ def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,
     samples with unit weights and acceptance diagnostics.
 
     One sweep (_NoiseChain.sweep) is a systematic scan of innovation-row
-    proposals with one single-entry proposal per row at a random site,
-    plus, under stationary initialization, one initial-vector proposal:
-    2T (+1) proposals, whose random numbers are drawn as one block per
-    sweep.  Proposals move the site rows in place; before each recorded
-    sample the rows are rebuilt from the white state, so R and N_sum are
-    exact functions of it.  An acceptance rate outside [0.05, 0.95]
-    triggers a tuning warning, not a failure, unless every mode's
-    innovation is zero: then no proposal moves the string.
+    proposals plus, under stationary initialization, one initial-vector
+    proposal: T (+1) proposals, whose random numbers are drawn as one
+    block per sweep.  Proposals move the site rows in place; before each
+    recorded sample the rows are rebuilt from the white state, so R and
+    N_sum are exact functions of it.  An acceptance rate outside
+    [0.05, 0.95] triggers a tuning warning, not a failure, unless every
+    mode's innovation is zero: then no proposal moves the string.
     """
     if not (0.0 < proposal_scale <= 1.0):
         raise ValueError("proposal scale must lie in (0, 1]")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
     if T < 1 or n_samples < 1 or thin < 1:
         raise ValueError(f"T, n_samples and thin must be positive, got "
                          f"T={T}, n_samples={n_samples}, thin={thin}")
@@ -404,7 +392,7 @@ def metropolis_sampler(basis: Basis, T: int, beta: float, epsilon: float,
             Rs[k] = np.sqrt(np.mean(chain.u ** 2))
             Ns[k] = T * J + 2 * np.count_nonzero(chain.near)
             k += 1
-    proposed = sweeps * (2 * T + (init == "stationary"))
+    proposed = sweeps * (T + (init == "stationary"))
     rate = accepted / proposed
     if not (0.05 <= rate <= 0.95) and beta > 0 and chain.sig.any():
         warnings.warn(f"Metropolis acceptance rate {rate:.3f} outside "

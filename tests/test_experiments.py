@@ -60,6 +60,15 @@ def test_load_config_overrides(tmp_path):
     assert load_config(None, {"J_list": (4, 8)}).J_list == (4, 8)
 
 
+@pytest.mark.parametrize("overrides", [{"T": "x"}, {"beta": "high"},
+                                       {"seed": "1.5"}],
+                         ids=["T", "beta", "seed"])
+def test_load_config_bad_override_is_a_config_error(overrides):
+    # the same error as the value in a config file
+    with pytest.raises(ConfigError, match="override: bad value for"):
+        load_config(overrides=overrides)
+
+
 def test_load_config_defaults_rank_below_file_and_overrides(tmp_path):
     p = tmp_path / "study.cfg"
     p.write_text("J_list = 16\n")
@@ -197,9 +206,21 @@ def test_scaling_importance_degenerates_and_raises():
 def test_scaling_auto_falls_back_to_metropolis():
     cfg = _small_cfg(beta=5.0, epsilon=0.5, replicates=60, sampler="auto",
                      T=16)
-    rep = run_scaling_study(cfg)
+    # at beta = 5 the chain's whole-row moves are accepted about 3 % of
+    # the time, under the tuning warning's 5 %
+    with pytest.warns(RuntimeWarning, match="acceptance rate"):
+        rep = run_scaling_study(cfg)
     assert all(r["sampler"] == "metropolis" for r in rep.rows)
     assert rep.meta["n_used"] == 3
+
+
+def test_weighted_rms_quantiles_takes_weights():
+    # the weights come max-shifted from gibbs._checked_weights, so they are
+    # used as they are, not exponentiated again
+    R = np.array([1.0, 2.0, 3.0, 4.0])
+    rms, (q05, q95) = ex._weighted_rms_quantiles(R, np.array([0., 1, 0, 1]))
+    assert rms == pytest.approx(np.sqrt((2.0 ** 2 + 4.0 ** 2) / 2), rel=1e-15)
+    assert (q05, q95) == (2.0, 4.0)
 
 
 @pytest.mark.parametrize("conv", ["literal", "paper"])

@@ -399,7 +399,7 @@ def test_chain_pair_state_matches_counter(J, T, product, shifts, init, conv):
         counts = J + 2 * chain.near.sum(axis=1)
         assert counts.tolist() == intersection_counts_batch(chain.u,
                                                             0.5).tolist()
-    assert 0 < accepted < 4 * (2 * T + (init == "stationary"))
+    assert 0 < accepted < 4 * (T + (init == "stationary"))
 
 
 class _ReferenceChain:
@@ -417,12 +417,11 @@ class _ReferenceChain:
         self.x0_scale = (_stationary_sd(basis, conv) if init == "stationary"
                          else np.zeros(self.J - 1))
         self.w0 = rng.standard_normal(self.J - 1)
-        self.xi = rng.standard_normal((T, self.J))
+        self.W = rng.standard_normal((T, self.J - 1))
         self.X = np.zeros((T + 1, self.J - 1))
         self.X[0] = self.w0 * self.x0_scale
         for t in range(T):
-            self.X[t + 1] = (self.rho * self.X[t]
-                             + self.sig * (self.xi[t] @ self.e1.T))
+            self.X[t + 1] = self.rho * self.X[t] + self.sig * self.W[t]
 
     def pairs(self, X):
         return int(intersection_counts_batch(X @ self.e1, self.epsilon).sum())
@@ -438,32 +437,23 @@ class _ReferenceChain:
 
     def sweep(self):
         T, J, rng = self.T, self.J, self.rng
-        Z = rng.standard_normal((T, J))
-        sites = rng.integers(J, size=T)
-        z1 = rng.standard_normal(T)
-        V = rng.random(2 * T + 1)
+        Z = rng.standard_normal((T, J - 1))
+        V = rng.random(T + 1)
         decisions = []
         for s in range(T):
             lags = self.rho ** np.arange(T - s)[:, None]
-            new_row = self.keep * self.xi[s] + self.scale * Z[s]
-            c = ((new_row - self.xi[s]) @ self.e1.T) * self.sig
-            decisions.append(self.try_tail(s, lags * c, np.log(V[2 * s])))
+            new_row = self.keep * self.W[s] + self.scale * Z[s]
+            c = (new_row - self.W[s]) * self.sig
+            decisions.append(self.try_tail(s, lags * c, np.log(V[s])))
             if decisions[-1]:
-                self.xi[s] = new_row
-            n = sites[s]
-            new = self.keep * self.xi[s, n] + self.scale * z1[s]
-            c = self.e1[:, n] * (new - self.xi[s, n]) * self.sig
-            decisions.append(self.try_tail(s, lags * c,
-                                           np.log(V[2 * s + 1])))
-            if decisions[-1]:
-                self.xi[s, n] = new
+                self.W[s] = new_row
         if self.init == "stationary":
             new_w0 = self.keep * self.w0 + self.scale * rng.standard_normal(
                 J - 1)
             lags = self.rho ** np.arange(1, T + 1)[:, None]
             decisions.append(self.try_tail(
                 0, lags * ((new_w0 - self.w0) * self.x0_scale),
-                np.log(V[2 * T])))
+                np.log(V[T])))
             if decisions[-1]:
                 self.w0 = new_w0
                 self.X[0] = new_w0 * self.x0_scale
@@ -529,33 +519,36 @@ def test_stationary_init_move_keeps_the_stationary_law():
         assert ks.pvalue > 0.01, (conv, ks.pvalue)
 
 
-# N_sum, acceptance rate and R of short chains, recorded when sweeps
-# began to draw their random numbers as one block, after
-# test_sweep_matches_reference_chain passed on that chain; the values
-# recorded before came from per-proposal draws, a stream no longer made.
-# J = 2, 8 and 32 (T = 32) take near_pairs' product, J = 40 its cyclic
-# shifts.  The integers and the rate must be reproduced exactly; R goes
-# through BLAS (X @ e1), whose last bits may differ between hosts
+# N_sum, acceptance rate and R of short chains, recorded when a sweep
+# became T whole-row moves on white mode noise, with no single-site
+# moves, after test_sweep_matches_reference_chain passed on that chain;
+# the values recorded before came from sweeps of 2T (+1) proposals on
+# white site noise, a stream no longer made.  J = 2, 8 and 32 (T = 32)
+# take near_pairs' product, J = 40 its cyclic shifts.  The integers and
+# the rate must be reproduced exactly; R goes through BLAS (X @ e1),
+# whose last bits may differ between hosts.  The ids name the case, not
+# the recorded values, so a test keeps its name when they are re-recorded
 @pytest.mark.parametrize("J, T, beta, n, seed, init, conv, n_sum, rate, R", [
-    (2, 3, 0.3, 5, 4, "zero", "LITERAL", [8, 8, 8, 6, 6],
-     0.9487179487179487,
-     [0.5190382359125298, 0.6896919057422815, 0.6785514692391844,
-      0.6101077693990706, 0.6450430883685447]),
-    (8, 6, 0.05, 5, 11, "stationary", "LITERAL", [86, 64, 90, 78, 110],
-     0.8757396449704142,
-     [2.4824938339453184, 2.3540066293909865, 2.1949128727242537,
-      1.8615405819559507, 1.488228493994805]),
-    (8, 5, 0.1, 4, 12, "zero", "PAPER", [86, 92, 72, 86],
-     0.7909090909090909,
-     [1.6824407035936333, 1.4105536046394993, 2.3779254769532114,
-      1.5353442253647318]),
-    (32, 32, 0.02, 3, 14, "stationary", "LITERAL", [2312, 2568, 2596],
-     0.8188034188034188,
-     [6.3860514984864825, 5.8724813759730425, 6.502360220171641]),
-    (40, 40, 0.02, 3, 13, "stationary", "PAPER", [2552, 2514, 2372],
-     0.7928669410150891,
-     [18.118301841362236, 17.92110650661126, 19.665374001986233]),
-])
+    (2, 3, 0.3, 5, 4, "zero", "LITERAL", [8, 8, 6, 8, 6],
+     0.8717948717948718,
+     [0.5787419316579687, 1.2553272258340267, 0.9503179684540325,
+      0.5434303414714239, 0.3895057259307919]),
+    (8, 6, 0.05, 5, 11, "stationary", "LITERAL", [116, 124, 114, 80, 116],
+     0.8681318681318682,
+     [1.6068897982410355, 1.1388745221191336, 1.107075483818954,
+      2.2065819102953315, 1.3883339464100544]),
+    (8, 5, 0.1, 4, 12, "zero", "PAPER", [76, 64, 70, 58],
+     0.7454545454545455,
+     [1.9118008597165084, 1.9670070190972735, 2.6051184879389013,
+      2.735915825402672]),
+    (32, 32, 0.02, 3, 14, "stationary", "LITERAL", [2518, 2264, 2380],
+     0.7205387205387206,
+     [5.464694709193957, 6.344575283857742, 6.122542087494119]),
+    (40, 40, 0.02, 3, 13, "stationary", "PAPER", [2300, 2264, 2254],
+     0.6991869918699187,
+     [26.069983863171487, 25.2502313836663, 25.53628538789239]),
+], ids=["J2-T3-zero-LITERAL", "J8-T6-stationary-LITERAL", "J8-T5-zero-PAPER",
+        "J32-T32-stationary-LITERAL", "J40-T40-stationary-PAPER"])
 def test_metropolis_output_is_pinned(J, T, beta, n, seed, init, conv,
                                      n_sum, rate, R):
     ens = metropolis_sampler(build_basis(J), T, beta, 0.5, n, seed=seed,
@@ -589,10 +582,15 @@ def test_metropolis_scale_validation():
     (lambda b: metropolis_sampler(b, 0, 0.1, 0.5, 3, seed=1), "T=0"),
     (lambda b: metropolis_sampler(b, 4, 0.1, 0.5, 0, seed=1),
      "n_samples=0"),
+    (lambda b: metropolis_sampler(b, 4, 0.1, 0.0, 3, seed=1), "epsilon"),
+    (lambda b: metropolis_sampler(b, 4, 0.1, -0.5, 3, seed=1), "epsilon"),
+    (lambda b: metropolis_sampler(b, 4, 0.1, np.nan, 3, seed=1), "epsilon"),
     (lambda b: sample_ensemble(b, 0, 0.1, 0.5, 10, seed=1), "T=0"),
     (lambda b: sample_ensemble(b, 4, 0.1, 0.5, 0, seed=1), "count=0"),
 ], ids=["metropolis-thin", "metropolis-burnin", "metropolis-T",
-        "metropolis-n_samples", "ensemble-T", "ensemble-count"])
+        "metropolis-n_samples", "metropolis-epsilon-0",
+        "metropolis-epsilon-negative", "metropolis-epsilon-nan",
+        "ensemble-T", "ensemble-count"])
 def test_sampler_sizes_rejected_before_any_draw(call, match):
     with mock.patch("polymerlab.gibbs.counter_rng") as rng:
         with pytest.raises(ValueError, match=match):
