@@ -15,18 +15,16 @@ second moment of the UNIT-variance chain, for every sigma.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import counter_rng
+from .dynamics import counter_rng, map_costliest_first
 from .spectral import Basis
 
 _LEGENDRE_GRID = 20_001
-# chains per tail_probe chunk, and the threads that run the chunks
+# chains per tail_probe chunk
 _CHUNK = 100_000
-_WORKERS = 4
 
 
 class DegenerateProcessError(ValueError):
@@ -197,18 +195,19 @@ def tail_probe(params: AR1Params, T: int, K: float, samples: int,
     """Monte Carlo estimate of -(1/T) log P(S_T > K) for the chain
     started at 0, reported next to the rate function at K.
 
-    Chunks of _CHUNK chains run on a pool of _WORKERS threads, each from
-    its own deterministic stream (counter_rng(seed, 7, chunk index)),
-    and the counts are reduced in chunk order, so the result does not
-    depend on the number of workers.  A chunk runs square_sums on a
-    (chunk, 1) state, so its draws are step-major: step t takes the t-th
-    run of chunk values from the stream, and a worker holds a few
-    chunk-length vectors whatever T is.  The X_t equal those of the
-    direct-form filter (scipy.signal.lfilter) run along the time axis of
-    a (T, chunk) draw bit for bit, and S_T sums them in time order as a
-    numpy mean along that axis does.  Fewer than 20 exceedances flags
-    the result as underpowered; zero exceedances report an infinite
-    empirical rate, still flagged, never an error.
+    Chunks of _CHUNK chains run on one thread per usable CPU
+    (map_costliest_first; chunk sizes never rise, so they start in chunk
+    order), each from its own deterministic stream (counter_rng(seed, 7,
+    chunk index)), and the counts are reduced in chunk order, so the
+    result does not depend on the number of workers.  A chunk runs
+    square_sums on a (chunk, 1) state, so its draws are step-major: step
+    t takes the t-th run of chunk values from the stream, and a worker
+    holds a few chunk-length vectors whatever T is.  The X_t equal those
+    of the direct-form filter (scipy.signal.lfilter) run along the time
+    axis of a (T, chunk) draw bit for bit, and S_T sums them in time
+    order as a numpy mean along that axis does.  Fewer than 20
+    exceedances flags the result as underpowered; zero exceedances
+    report an infinite empirical rate, still flagged, never an error.
     """
     _check_positive_sigma(params)
     stat_mean = params.sigma2 / (1.0 - params.rho ** 2)
@@ -227,8 +226,8 @@ def tail_probe(params: AR1Params, T: int, K: float, samples: int,
                              np.zeros((size, 1)), T)
         return int(np.count_nonzero(sq_sum / T > K))
 
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        exceed = sum(pool.map(run, enumerate(sizes)))
+    exceed = sum(map_costliest_first(run, enumerate(sizes),
+                                     cost=lambda idx_size: idx_size[1]))
 
     if exceed == 0:
         emp = float("inf")

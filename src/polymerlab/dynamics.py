@@ -14,8 +14,10 @@ which every sampler and closed form of the free string starts.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +74,30 @@ def counter_rng(seed: int, *stream: int) -> np.random.Generator:
     gives identical draws regardless of what ran before."""
     ss = np.random.SeedSequence(seed, spawn_key=tuple(stream))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or the machine's
+    count where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_costliest_first(fn, items, cost) -> list:
+    """[fn(item) for item in items] on one thread per usable CPU.
+
+    Items start in descending cost(item), ties in item order, so the
+    longest task does not start behind the others (Graham's
+    longest-processing-time rule); results come back in item order.
+    """
+    items = list(items)
+    order = sorted(range(len(items)), key=lambda i: cost(items[i]),
+                   reverse=True)
+    workers = max(1, min(usable_cpus(), len(items)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        done = dict(zip(order, pool.map(lambda i: fn(items[i]), order)))
+    return [done[i] for i in range(len(items))]
 
 
 def sample_noise(seed: int, T: int, J: int, drift: float = 0.0) -> NoiseField:

@@ -16,15 +16,14 @@ from __future__ import annotations
 import json
 import os
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ar1 import (AR1Params, legendre_rate, mode_decompose, rate_function,
                   reconstruct_centered, square_sums)
-from .dynamics import (counter_rng, free_modes, sample_noise,
-                       simulate_recursion, solution_formula)
+from .dynamics import (counter_rng, free_modes, map_costliest_first,
+                       sample_noise, simulate_recursion, solution_formula)
 from .gibbs import (SAMPLERS, SamplerDegeneracyError, _checked_weights,
                     jensen_lower_bound, sample_measure)
 from .increments import monte_carlo_increment_check
@@ -322,8 +321,10 @@ def _slope_with_se(x: np.ndarray, y: np.ndarray):
 def run_scaling_study(config: StudyConfig) -> Report:
     """Gyration radius versus string width, as a "scaling" Report.
 
-    Cells run concurrently with per-cell seed streams; rows are
-    assembled in J_list order.  R_mean is the quadratic mean of R over
+    Cells run on one thread per usable CPU, widest first since a cell's
+    cost grows with J, each from its own seed stream; rows are
+    assembled in J_list order, so the bytes do not depend on the
+    number of workers.  R_mean is the quadratic mean of R over
     replicates, matched against the closed-form column R_exact.  The
     log-log slope is fitted over unflagged rows: fewer than
     _FIT_MIN_ROWS widths is a configuration error, raised before any cell
@@ -337,9 +338,8 @@ def run_scaling_study(config: StudyConfig) -> Report:
                           f"for the exponent fit, got {len(config.J_list)}")
     if config.output_dir is not None:
         os.makedirs(config.output_dir, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=min(4, len(config.J_list))) as pool:
-        rows = list(pool.map(lambda J: _scaling_cell(config, J),
-                             config.J_list))
+    rows = map_costliest_first(lambda J: _scaling_cell(config, J),
+                               config.J_list, cost=lambda J: J)
     used = [r for r in rows if not r["flagged"]]
     if len(used) < _FIT_MIN_ROWS:
         raise SamplerDegeneracyError(

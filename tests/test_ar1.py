@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from polymerlab import ar1
+from polymerlab import ar1, dynamics
 from polymerlab.ar1 import (AR1Params, DegenerateProcessError,
                             cumulant_threshold, legendre_rate,
                             mode_decompose, rate_function,
@@ -251,9 +251,9 @@ def test_tail_probe_thread_count_invariant(monkeypatch):
     p = AR1Params(rho=0.3, sigma2=1.0)
     kw = dict(T=8, K=2.5, samples=60_000, seed=5)
     monkeypatch.setattr(ar1, "_CHUNK", 10_000)
-    monkeypatch.setattr(ar1, "_WORKERS", 1)
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
     a = tail_probe(p, **kw)
-    monkeypatch.setattr(ar1, "_WORKERS", 4)
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 4)
     b = tail_probe(p, **kw)
     assert a == b
 
@@ -292,7 +292,7 @@ def test_tail_probe_working_set_is_bounded(monkeypatch):
     # reports its buffers to tracemalloc
     p = AR1Params(rho=0.6, sigma2=1.0)
     monkeypatch.setattr(ar1, "_CHUNK", 50_000)
-    monkeypatch.setattr(ar1, "_WORKERS", 1)
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
     tracemalloc.start()
     try:
         tail_probe(p, T=400, K=3.0, samples=50_000, seed=1)

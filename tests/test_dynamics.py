@@ -3,8 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+from polymerlab import dynamics
 from polymerlab.dynamics import (NoiseField, Trajectory, counter_rng,
-                                 free_modes, mode_innovation_std,
+                                 free_modes, map_costliest_first,
+                                 mode_innovation_std,
                                  neumann_laplacian, read_trajectory_binary,
                                  sample_noise, simulate_recursion,
                                  solution_formula, write_trajectory_binary)
@@ -17,6 +19,29 @@ def test_counter_rng_reproducible_and_stream_separated():
     c = counter_rng(5, 1).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_map_costliest_first_starts_by_cost_and_returns_in_order(
+        monkeypatch):
+    # one worker shows the start order: descending cost, ties in item order
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+    started = []
+
+    def fn(item):
+        started.append(item)
+        return 10 * item[0]
+
+    items = [(0, 3), (1, 5), (2, 3), (3, 1)]
+    assert map_costliest_first(fn, items, cost=lambda it: it[1]) == \
+        [0, 10, 20, 30]
+    assert started == [(1, 5), (0, 3), (2, 3), (3, 1)]
+
+    def fail(item):
+        raise ArithmeticError(item)
+
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 4)
+    with pytest.raises(ArithmeticError):
+        map_costliest_first(fail, items, cost=lambda it: it[1])
 
 
 def test_sample_noise_shape_and_determinism():

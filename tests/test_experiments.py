@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polymerlab.dynamics as dynamics
 import polymerlab.experiments as ex
 from polymerlab.experiments import (ConfigError, Report, StudyConfig,
                                     emit_report, load_config,
@@ -194,6 +195,33 @@ def test_scaling_study_deterministic(tmp_path):
     assert header == {"schema_version": ex.SCHEMA_VERSION, "kind": "scaling",
                       **r1.meta}
     assert tuple(rows) == r1.rows
+
+
+def test_scaling_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
+    # one worker shows the start order; at more, threads may record
+    # their starts out of order
+    cell = ex._scaling_cell
+    started = []
+
+    def recording_cell(config, J):
+        started.append(J)
+        return cell(config, J)
+
+    monkeypatch.setattr(ex, "_scaling_cell", recording_cell)
+    outputs = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(dynamics, "usable_cpus", lambda: workers)
+        started.clear()
+        d = tmp_path / str(workers)
+        rep = run_scaling_study(_small_cfg(J_list=(8, 4, 16),
+                                           output_dir=str(d)))
+        assert [r["J"] for r in rep.rows] == [8, 4, 16]
+        if workers == 1:
+            assert started == [16, 8, 4]
+        assert sorted(started) == [4, 8, 16]
+        outputs.append([(d / name).read_bytes() for name in
+                        ("scaling.csv", "scaling_summary.jsonl")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_scaling_importance_degenerates_and_raises():

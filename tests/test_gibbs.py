@@ -345,6 +345,24 @@ def test_zero_beta_pair_sum_meets_the_exact_mean(J, conv):
         assert abs(n_sum.mean() - exact) < 4.0 * se, (seed, exact)
 
 
+@pytest.mark.parametrize("init, conv, seed", [
+    ("zero", Convention.LITERAL, 5101), ("zero", Convention.PAPER, 5102),
+    ("stationary", Convention.LITERAL, 5103),
+    ("stationary", Convention.PAPER, 5104)])
+def test_metropolis_zero_beta_pair_sum_meets_the_exact_mean(init, conv,
+                                                             seed):
+    # the thinned chain's samples are correlated, so the error bar is the
+    # batch-means SE over 20 batches of 50
+    b = build_basis(8)
+    exact = mean_pair_counts(free_modes(b, conv, init), 8, 0.5).sum()
+    n_sum = metropolis_sampler(b, 8, 0.0, 0.5, 1000, seed, thin=5,
+                               burnin=100, init=init,
+                               conv=conv).obs["N_sum"]
+    batches = n_sum.reshape(20, -1).mean(axis=1)
+    se = batches.std(ddof=1) / np.sqrt(batches.size)
+    assert abs(n_sum.mean() - exact) < 4.0 * se, (exact, n_sum.mean(), se)
+
+
 def test_metropolis_zero_beta_accepts_everything():
     b = build_basis(4)
     ens = metropolis_sampler(b, 6, 0.0, 0.5, 50, seed=2, thin=2, burnin=10)

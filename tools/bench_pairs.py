@@ -16,11 +16,12 @@ parent goes first in even pairs and the change in odd ones, so that a
 drift of the host falls on both sides alike.  Each side's end-to-end
 metrics, output checksum, op count and failed ops are kept per pair, and
 a summary gives each metric's medians, the parent's quartiles and the
-pairs the change won.  ``--tier1 N`` adds N alternating pairs of
-the Tier-1 suite, ``PYTHONPATH=src python -m pytest -q
---continue-on-collection-errors``, with its wall time, each acceptance
-criterion's time and the outcome counts.  The file is rewritten after
-every pair, so an interrupted run keeps what it measured.
+pairs the change won, and the count of pairs whose two sides' checksums
+are equal.  ``--tier1 N`` adds N alternating pairs of the Tier-1 suite,
+``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``,
+with its wall time, each acceptance criterion's time and the outcome
+counts.  The file is rewritten after every pair, so an interrupted run
+keeps what it measured.
 """
 
 from __future__ import annotations
@@ -105,8 +106,11 @@ def order(i: int) -> tuple:
 
 def summarize(entry: dict, spec: list) -> dict:
     """Per metric: both medians, the parent's quartiles and the pairs in
-    which the change was better, by BENCHMARK.json's sense of better."""
-    out = {}
+    which the change was better, by BENCHMARK.json's sense of better;
+    and the pairs whose two sides gave equal output checksums."""
+    out = {"checksums_equal": sum(
+        p == c for p, c in zip(entry["parent"]["checksums"],
+                               entry["change"]["checksums"]))}
     for m in spec:
         par, chg = entry["parent"][m["name"]], entry["change"][m["name"]]
         sign = 1 if m["better"] == "lower" else -1
