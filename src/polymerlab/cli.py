@@ -18,7 +18,7 @@ import numpy as np
 from .ar1 import AR1Params, rate_function, tail_probe
 from .dynamics import sample_noise, simulate_recursion, write_trajectory_binary
 from .experiments import (_FIELD_PARSERS, ConfigError, _json_line,
-                          _parse_list, load_config, quantize12, rows_to_csv,
+                          _parse_list, load_config, rows_to_csv,
                           run_scaling_study, run_tail_probes,
                           run_validation_suite)
 from .gibbs import (SAMPLERS, SamplerDegeneracyError, estimate_measure,
@@ -77,8 +77,8 @@ def _write_or_print(text: str, out_dir, filename: str):
 def _cmd_spectra(cfg, args) -> int:
     J = cfg.one_width()
     basis = build_basis(J, cfg.kappa)
-    rows = [{"m": m, "rho": quantize12(basis.rho[m]),
-             "weight": quantize12(basis.a[m])} for m in range(J)]
+    rows = [{"m": m, "rho": basis.rho[m], "weight": basis.a[m]}
+            for m in range(J)]
     _write_or_print(rows_to_csv(("m", "rho", "weight"), rows),
                     cfg.output_dir, "spectra.csv")
     err = abs(cosecant_square_sum(J) - (J * J - 1) / 3.0)
@@ -130,7 +130,7 @@ def _cmd_gibbs(cfg, args) -> int:
     est = estimate_measure(ens, "R", ess_floor=cfg.ess_floor)
     out = {"J": J, "T": cfg.T, "beta": cfg.beta, "epsilon": cfg.epsilon,
            "base_measure": ens.base_measure, **est}
-    out.update({k: quantize12(v) for k, v in ens.diagnostics.items()
+    out.update({k: v for k, v in ens.diagnostics.items()
                 if isinstance(v, float)})
     print(_json_line(out))
     return 0
@@ -151,15 +151,12 @@ def _cmd_ldp(cfg, args) -> int:
                  tail_probe(params, cfg.T, args.K, cfg.replicates, cfg.seed))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = [{"rho": params.rho, "sigma2": params.sigma2,
-             "x_or_K": quantize12(x), "value": quantize12(v)}
-            for x, v in zip(xs, values)]
+    rows = [{"rho": params.rho, "sigma2": params.sigma2, "x_or_K": x,
+             "value": v} for x, v in zip(xs, values)]
     if probe is not None:
         rows.append({"rho": params.rho, "sigma2": params.sigma2,
-                     "x_or_K": quantize12(args.K),
-                     "value": quantize12(probe["rate_at_K"]),
-                     "empirical": quantize12(
-                         probe["empirical_log_prob_over_T"]),
+                     "x_or_K": args.K, "value": probe["rate_at_K"],
+                     "empirical": probe["empirical_log_prob_over_T"],
                      "T": cfg.T, "samples": cfg.replicates})
     _write_or_print(rows_to_csv(_LDP_FIELDS, rows), cfg.output_dir,
                     "ldp.csv")

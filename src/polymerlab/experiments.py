@@ -6,17 +6,19 @@ Random streams are derived per cell from the base seed with fixed tags,
 so thread scheduling cannot reorder randomness, and report assembly is
 single-threaded in declared order.
 
-Report floats are quantized to 12 significant digits when rows are
-built; emission then reproduces the stored values exactly and a
-re-parsed table matches to the last bit.
+A Report holds its rows and meta as its files hold them: building it
+rounds every float to 12 significant digits, so emission reproduces the
+stored values exactly and a re-parsed file equals the Report.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,15 +185,11 @@ def load_config(path: str = None, overrides: dict = None,
         raise ConfigError(str(exc)) from exc
 
 
-def quantize12(x) -> float:
-    """Round to 12 significant digits, the storage precision of every
-    report float; emitting and re-parsing such a value is lossless."""
-    if x is None or isinstance(x, str):
-        return x
-    v = float(x)
-    if not np.isfinite(v):
-        return v
-    return float(f"{v:.12g}")
+def quantize12(x):
+    """Round a float to 12 significant digits, the storage precision of
+    every report float; emitting and re-parsing such a value is lossless.
+    Any other value is returned as it is."""
+    return float(f"{x:.12g}") if isinstance(x, float) else x
 
 
 @dataclass(frozen=True)
@@ -199,14 +197,29 @@ class Report:
     """One study's result, in the form its files hold it.
 
     `kind` names the study and its files, `fields` orders the row
-    columns, `rows` holds one dict per row, and `meta` holds the JSONL
-    header keys that follow schema_version and kind.
+    columns, `rows` holds one dict per row over exactly `fields`, in
+    field order, and `meta` holds the JSONL header keys that follow
+    schema_version and kind.  Building a Report stores them so: a missing
+    field becomes None, every float is rounded by quantize12, and a row
+    key outside `fields` raises ValueError.
     """
 
     kind: str
     fields: tuple
     rows: tuple
     meta: dict
+
+    def __post_init__(self):
+        for row in self.rows:
+            extra = sorted(set(row) - set(self.fields))
+            if extra:
+                raise ValueError(f"{self.kind} row keys {extra} are not "
+                                 f"among its fields")
+        object.__setattr__(self, "rows", tuple(
+            {k: quantize12(row.get(k)) for k in self.fields}
+            for row in self.rows))
+        object.__setattr__(self, "meta", {k: quantize12(v)
+                                          for k, v in self.meta.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -250,43 +263,44 @@ def _stationary_cell_r(config: StudyConfig, basis: Basis, T: int, key: int,
     """Gyration radii of one study cell started from the stationary law:
     sampled directly at beta=0, through sample_measure otherwise.
     Returns (R, max-shifted weights or None, ESS or acceptance, sampler
-    label)."""
+    label, why AUTO fell back to the chain or None)."""
     reps, conv = config.replicates, config.convention
     if config.beta == 0.0:
         rng = counter_rng(config.seed, tag, key)
         return (_stationary_mode_r(basis, T, reps, rng, conv), None,
-                float(reps), "direct")
+                float(reps), "direct", None)
     ens = sample_measure(basis, T, config.beta, config.epsilon, reps,
                          config.seed * 1000003 + key, sampler,
                          config.ess_floor, "stationary", conv)
     R = ens.obs["R"]
     if ens.base_measure == "P_T":
-        return (R, *_checked_weights(ens, config.ess_floor), "importance")
-    return R, None, ens.diagnostics["acceptance_rate"], "metropolis"
+        return (R, *_checked_weights(ens, config.ess_floor), "importance",
+                None)
+    return (R, None, ens.diagnostics["acceptance_rate"], "metropolis",
+            ens.diagnostics.get("fallback"))
 
 
 def _scaling_cell(config: StudyConfig, J: int) -> dict:
     """One J row; a sampler degeneracy flags the row instead of failing
-    the study, and so does a frozen string, whose modes m >= 1 have no
-    innovation (J = 2 under PAPER at kappa = 1/2): its R is 0, and
-    log R has no place in the fit."""
+    the study and leaves its R cells empty, and a frozen string, whose
+    modes m >= 1 have no innovation (J = 2 under PAPER at kappa = 1/2),
+    flags its row too: its R is 0, and log R has no place in the fit.
+    `detail` says why a row is flagged, or why AUTO fell back to the
+    chain."""
     basis = build_basis(J, config.kappa)
     exact = np.sqrt(scaling_exact_r2(basis, config.T, config.convention))
-    row = {"J": J, "beta": config.beta, "flagged": False,
-           "R_exact": quantize12(exact)}
+    row = {"J": J, "beta": config.beta, "flagged": False, "R_exact": exact}
     if not free_modes(basis, config.convention, "stationary").sig.any():
         row.update({"R_mean": 0.0, "R_q05": 0.0, "R_q95": 0.0,
                     "ESS_or_acceptance": 0.0, "sampler": "none",
                     "flagged": True, "detail": "frozen string"})
         return row
     try:
-        R, w, diag, label = _stationary_cell_r(config, basis, config.T, J,
-                                               10, config.sampler)
+        R, w, diag, label, detail = _stationary_cell_r(
+            config, basis, config.T, J, 10, config.sampler)
     except SamplerDegeneracyError as exc:
-        row.update({"R_mean": float("nan"), "R_q05": float("nan"),
-                    "R_q95": float("nan"), "ESS_or_acceptance": 0.0,
-                    "sampler": config.sampler, "flagged": True,
-                    "detail": str(exc)})
+        row.update({"ESS_or_acceptance": 0.0, "sampler": config.sampler,
+                    "flagged": True, "detail": str(exc)})
         return row
 
     if w is None:
@@ -294,14 +308,15 @@ def _scaling_cell(config: StudyConfig, J: int) -> dict:
         q05, q95 = np.quantile(R, [0.05, 0.95])
     else:
         rms, (q05, q95) = _weighted_rms_quantiles(R, w)
-    row.update({"R_mean": quantize12(rms), "R_q05": quantize12(q05),
-                "R_q95": quantize12(q95),
-                "ESS_or_acceptance": quantize12(diag), "sampler": label})
+    row.update({"R_mean": rms, "R_q05": q05, "R_q95": q95,
+                "ESS_or_acceptance": diag, "sampler": label,
+                "detail": detail})
     return row
 
 
 _SCALING_FIELDS = ("J", "beta", "R_mean", "R_q05", "R_q95",
-                   "ESS_or_acceptance", "sampler", "flagged", "R_exact")
+                   "ESS_or_acceptance", "sampler", "flagged", "R_exact",
+                   "detail")
 # rows the log-log fit needs: a slope and a residual degree of freedom
 _FIT_MIN_ROWS = 3
 
@@ -338,9 +353,10 @@ def run_scaling_study(config: StudyConfig) -> Report:
                           f"for the exponent fit, got {len(config.J_list)}")
     if config.output_dir is not None:
         os.makedirs(config.output_dir, exist_ok=True)
-    rows = map_costliest_first(lambda J: _scaling_cell(config, J),
-                               config.J_list, cost=lambda J: J)
-    used = [r for r in rows if not r["flagged"]]
+    report = Report("scaling", _SCALING_FIELDS, map_costliest_first(
+        lambda J: _scaling_cell(config, J), config.J_list,
+        cost=lambda J: J), {})
+    used = [r for r in report.rows if not r["flagged"]]
     if len(used) < _FIT_MIN_ROWS:
         raise SamplerDegeneracyError(
             f"only {len(used)} usable rows; the exponent fit needs "
@@ -348,11 +364,10 @@ def run_scaling_study(config: StudyConfig) -> Report:
     x = np.log([r["J"] for r in used])
     y = np.log([r["R_mean"] for r in used])
     slope, se = _slope_with_se(x, y)
-    report = Report("scaling", _SCALING_FIELDS, tuple(rows),
-                    {"convention": config.convention.value, "T": config.T,
-                     "beta": quantize12(config.beta),
-                     "fitted_exponent": quantize12(slope),
-                     "exponent_se": quantize12(se), "n_used": len(used)})
+    report = replace(report, meta={
+        "convention": config.convention.value, "T": config.T,
+        "beta": config.beta, "fitted_exponent": slope, "exponent_se": se,
+        "n_used": len(used)})
     if config.output_dir is not None:
         emit_report(report, "csv", config.output_dir)
         emit_report(report, "jsonl", config.output_dir)
@@ -366,8 +381,8 @@ def run_scaling_study(config: StudyConfig) -> Report:
 def _tail_cell(config: StudyConfig, T: int, K1: float, K2: float) -> dict:
     J = config.one_width()
     basis = build_basis(J, config.kappa)
-    R, _, diag, label = _stationary_cell_r(config, basis, T, T, 20,
-                                           "metropolis")
+    R, _, diag, label, _ = _stationary_cell_r(config, basis, T, T, 20,
+                                              "metropolis")
     n = len(R)
     lo_count = int(np.count_nonzero(R < K1 * J))
     hi_count = int(np.count_nonzero(R > K2 * J))
@@ -377,17 +392,12 @@ def _tail_cell(config: StudyConfig, T: int, K1: float, K2: float) -> dict:
         p = (count + 1.0) / (n + 2.0)
         return float(np.sqrt(p * (1.0 - p) / n))
 
-    return {"T": T,
-            "lower_prob": quantize12(lo_count / n),
-            "lower_se": quantize12(se(lo_count)),
-            "lower_count": lo_count,
-            "upper_prob": quantize12(hi_count / n),
-            "upper_se": quantize12(se(hi_count)),
-            "upper_count": hi_count,
+    return {"T": T, "lower_prob": lo_count / n, "lower_se": se(lo_count),
+            "lower_count": lo_count, "upper_prob": hi_count / n,
+            "upper_se": se(hi_count), "upper_count": hi_count,
             "lower_underpowered": lo_count < 20,
             "upper_underpowered": hi_count < 20,
-            "sampler": label,
-            "ESS_or_acceptance": quantize12(diag)}
+            "sampler": label, "ESS_or_acceptance": diag}
 
 
 _TAIL_FIELDS = ("T", "lower_prob", "lower_se", "lower_count", "upper_prob",
@@ -415,7 +425,10 @@ def run_tail_probes(config: StudyConfig, K1: float, K2: float) -> Report:
                           "horizons")
     if config.output_dir is not None:
         os.makedirs(config.output_dir, exist_ok=True)
-    rows = [_tail_cell(config, T, K1, K2) for T in sorted(config.T_list)]
+    report = Report("tails", _TAIL_FIELDS,
+                    [_tail_cell(config, T, K1, K2)
+                     for T in sorted(config.T_list)], {"K1": K1, "K2": K2})
+    rows = report.rows
 
     def nonincreasing(side):
         for prev, cur in zip(rows, rows[1:]):
@@ -425,10 +438,9 @@ def run_tail_probes(config: StudyConfig, K1: float, K2: float) -> Report:
                 return False
         return True
 
-    report = Report("tails", _TAIL_FIELDS, tuple(rows),
-                    {"K1": quantize12(K1), "K2": quantize12(K2),
-                     "lower_nonincreasing": nonincreasing("lower"),
-                     "upper_nonincreasing": nonincreasing("upper")})
+    report = replace(report, meta={
+        **report.meta, "lower_nonincreasing": nonincreasing("lower"),
+        "upper_nonincreasing": nonincreasing("upper")})
     if config.output_dir is not None:
         emit_report(report, "csv", config.output_dir)
         emit_report(report, "jsonl", config.output_dir)
@@ -451,14 +463,6 @@ def validation_check(name):
 def validation_manifest() -> tuple:
     """Check names in execution order, generated from the registry."""
     return tuple(name for name, _ in _CHECKS)
-
-
-def _ok(detail=""):
-    return True, detail
-
-
-def _bad(detail):
-    return False, detail
 
 
 @validation_check("trig_identity")
@@ -554,8 +558,7 @@ def _check_increments(config):
 @validation_check("jensen_bound")
 def _check_jensen(config):
     basis = build_basis(4)
-    r = jensen_lower_bound(basis, 8, 0.1, 0.5, 0.5, 20_000,
-                           config.seed + 11)
+    r = jensen_lower_bound(basis, 8, 0.1, 0.5, 20_000, config.seed + 11)
     return (r["holds"],
             f"logZ/T {r['logZ_over_T']:.4f} vs bound {r['bound']:.4f}")
 
@@ -611,19 +614,16 @@ def _check_reconstruction(config):
 
 @validation_check("report_roundtrip")
 def _check_roundtrip(config):
-    rows = ({"J": 8, "beta": 0.0, "R_mean": quantize12(1.6180339887),
-             "R_q05": quantize12(0.5), "R_q95": quantize12(2.5),
-             "ESS_or_acceptance": 100.0, "sampler": "direct",
-             "flagged": False, "R_exact": quantize12(1.62)},)
-    text1 = rows_to_csv(_SCALING_FIELDS, rows)
-    text2 = rows_to_csv(_SCALING_FIELDS, rows)
-    if text1 != text2:
-        return _bad("emission is not deterministic")
-    back = parse_report_csv(text1)
-    for key in ("R_mean", "R_q05", "R_q95", "R_exact"):
-        if abs(back[0][key] - rows[0][key]) > 1e-12:
-            return _bad(f"round-trip drift in {key}")
-    return _ok("byte-stable and parse-back exact")
+    row = {"J": 8, "beta": 0.0, "R_mean": 1.6180339887654, "R_q05": 0.5,
+           "R_q95": 2.5, "ESS_or_acceptance": 100.0, "sampler": "direct",
+           "flagged": True, "R_exact": 1.62, "detail": 'a "quoted", cell'}
+    report = Report("scaling", _SCALING_FIELDS, (row,), {})
+    text = rows_to_csv(report.fields, report.rows)
+    if text != rows_to_csv(report.fields, report.rows):
+        return False, "emission is not deterministic"
+    if parse_report_csv(text) != list(report.rows):
+        return False, "a parsed row differs from the stored row"
+    return True, "byte-stable and parse-back exact"
 
 
 def run_validation_suite(config: StudyConfig = None) -> Report:
@@ -661,56 +661,46 @@ def _format_cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
 
 
 def rows_to_csv(fieldnames, rows) -> str:
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(k)) for k in fieldnames))
-    return "\n".join(lines) + "\n"
+    """The rows under a header of fieldnames, through the stdlib csv
+    writer: a cell holding a comma, a double quote or a line feed is
+    quoted, and every line ends in a bare line feed."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([_format_cell(row.get(k)) for k in fieldnames]
+                     for row in rows)
+    return buf.getvalue()
+
+
+def _parse_cell(cell: str):
+    if cell == "":
+        return None
+    if cell in ("true", "false"):
+        return cell == "true"
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
 
 
 def parse_report_csv(text: str) -> list:
-    """Inverse of rows_to_csv with typed cells: int, float, bool, or str.
-    Every line after the header is a row: in a one-column report a blank
-    line is a row whose cell is None."""
-    lines = text.splitlines()
-    header = lines[0].split(",")
-    out = []
-    for ln in lines[1:]:
-        row = {}
-        for key, cell in zip(header, ln.split(",")):
-            if cell == "":
-                row[key] = None
-            elif cell in ("true", "false"):
-                row[key] = cell == "true"
-            else:
-                try:
-                    row[key] = int(cell)
-                except ValueError:
-                    try:
-                        row[key] = float(cell)
-                    except ValueError:
-                        row[key] = cell
-        out.append(row)
-    return out
+    """Inverse of rows_to_csv with typed cells: None for an empty cell,
+    then bool, int, float, or str."""
+    header, *lines = csv.reader(io.StringIO(text, newline=""))
+    return [{k: _parse_cell(cell) for k, cell in zip(header, ln)}
+            for ln in lines]
 
 
 def _json_line(obj) -> str:
-    def clean(v):
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, float):
-            return quantize12(v)
-        if isinstance(v, (np.floating,)):
-            return quantize12(float(v))
-        return v
-    return json.dumps({k: clean(v) for k, v in obj.items()},
+    return json.dumps({k: quantize12(v) for k, v in obj.items()},
                       separators=(",", ":"))
 
 
@@ -734,8 +724,7 @@ def emit_report(report: Report, format: str, out_dir: str) -> str:
         path = os.path.join(out_dir, f"{report.kind}{suffix}.jsonl")
         lines = [_json_line({"schema_version": SCHEMA_VERSION,
                              "kind": report.kind, **report.meta})]
-        lines += [_json_line({k: r.get(k) for k in report.fields})
-                  for r in report.rows]
+        lines += [_json_line(r) for r in report.rows]
         payload = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)

@@ -78,10 +78,11 @@ def estimate_measure(ensemble: WeightedEnsemble, observable: str = "R",
     """Partition estimate and self-normalized reweighted expectation.
 
     log_Z_hat, the log of the mean Boltzmann weight, is reported only for
-    a "P_T" base.  The expectation is the mean under w / sum w, with the
-    normalized-weight delta-method standard error; both standard errors
-    are reported only for more than one draw.  An effective sample size
-    under ess_floor raises.
+    a "P_T" base, and so is the effective sample size: a chain's unit
+    weights would give only its draw count.  The expectation is the mean
+    under w / sum w, with the normalized-weight delta-method standard
+    error; both standard errors are reported only for more than one draw.
+    An effective sample size under ess_floor raises.
     """
     n = len(ensemble)
     if n == 0:
@@ -94,6 +95,8 @@ def estimate_measure(ensemble: WeightedEnsemble, observable: str = "R",
         log_z = float(ensemble.log_weights.max() + np.log(w.mean()))
         if n > 1:
             log_z_se = float(w.std(ddof=1) / (np.sqrt(n) * w.mean()))
+    else:
+        ess = None
     x = np.asarray(ensemble.obs[observable], dtype=float)
     wn = w / w.sum()
     q_mean = float(np.dot(wn, x))
@@ -183,22 +186,27 @@ def sample_measure(basis: Basis, T: int, beta: float, epsilon: float,
     """Sample the repelling measure.  "importance" returns the weighted
     free ensemble with its ESS in the diagnostics and raises
     SamplerDegeneracyError under the ESS floor; "metropolis" runs the
-    chain; "auto" falls back from the first to the second.  Both start
-    from the same base law (init, conv), so AUTO never changes the target.
+    chain; "auto" falls back from the first to the second and keeps the
+    error's message under the chain's diagnostics key "fallback".  Both
+    start from the same base law (init, conv), so AUTO never changes the
+    target.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}")
+    fallback = {}
     if sampler != "metropolis":
         ens = sample_ensemble(basis, T, beta, epsilon, count, seed, init,
                               conv)
         try:
             return replace(ens, diagnostics={
                 "ess": _checked_weights(ens, ess_floor)[1]})
-        except SamplerDegeneracyError:
+        except SamplerDegeneracyError as exc:
             if sampler == "importance":
                 raise
-    return metropolis_sampler(basis, T, beta, epsilon, count, seed,
-                              init=init, conv=conv)
+            fallback["fallback"] = str(exc)
+    chain = metropolis_sampler(basis, T, beta, epsilon, count, seed,
+                               init=init, conv=conv)
+    return replace(chain, diagnostics={**chain.diagnostics, **fallback})
 
 
 def mean_pair_counts(modes: FreeModes, T: int, epsilon: float
@@ -218,24 +226,24 @@ def mean_pair_counts(modes: FreeModes, T: int, epsilon: float
 
 
 def jensen_lower_bound(basis: Basis, T: int, beta: float, epsilon: float,
-                       a: float, samples: int, seed: int,
+                       samples: int, seed: int,
                        conv: Convention = Convention.LITERAL,
                        ess_floor: float = 50.0) -> dict:
-    """Variational bound (1/T) log Z >= -(beta/T) E[sum_t N(t)] - a^2 J/2.
+    """Variational bound (1/T) log Z >= -(beta/T) E[sum_t N(t)].
 
-    The drift shifts every site by the same a*t, so near-pair counts are
-    drift-invariant and the expectation is the exact free mean from the
-    zero profile (mean_pair_counts); the drift enters only through the
-    relative-entropy cost a^2 J / 2 per time step over J sites.  The
-    left side is estimated by importance sampling from the zero profile,
-    and `holds` allows it three of its standard errors.
+    The expectation is the exact free mean from the zero profile
+    (mean_pair_counts).  A drifted reference law would only subtract its
+    relative-entropy cost a^2 J / 2 per step: near-pair counts are
+    drift-invariant, so the undrifted bound is the tightest.  The left
+    side is estimated by importance sampling from the zero profile, and
+    `holds` allows it three of its standard errors.
     """
     # log Z's standard error needs two samples
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got samples={samples}")
     en = float(mean_pair_counts(free_modes(basis, conv, "zero"), T,
                                 epsilon).mean())
-    bound = -beta * en - 0.5 * a * a * basis.J
+    bound = -beta * en
     ens = sample_ensemble(basis, T, beta, epsilon, samples, seed, conv=conv)
     est = estimate_measure(ens, "R", ess_floor=ess_floor)
     logz_t = est["log_Z_hat"] / T

@@ -85,9 +85,8 @@ def test_criterion_4_reweighting_consistency():
     assert est["log_Z_hat"] == pytest.approx(-0.25 * 16, abs=1e-12)
 
     b4 = build_basis(4)
-    for a in (0.0, 0.5, 1.0):
-        rep = jensen_lower_bound(b4, 8, 0.1, 0.5, a, 100_000, seed=SEED)
-        assert rep["holds"], (a, rep)
+    rep = jensen_lower_bound(b4, 8, 0.1, 0.5, 100_000, seed=SEED)
+    assert rep["holds"], rep
 
     # chain marginal against direct free sampling at beta = 0
     chain = metropolis_sampler(b4, 8, 0.0, 0.5, 2000, seed=SEED,

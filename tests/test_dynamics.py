@@ -128,6 +128,26 @@ def test_solution_formula_general_kappa():
     assert np.abs(t1.u - t2.u).max() < 1e-10
 
 
+@pytest.mark.parametrize("J, kappa", [(2, 0.5), (8, 0.5), (9, 0.5),
+                                      (16, 0.3)])
+def test_paper_solution_is_the_literal_recursion_of_smoothed_noise(J, kappa):
+    # PAPER pushes step s's noise through power t-s of the single-amplitude
+    # kernel: about the mean, that is the LITERAL recursion driven by
+    # sqrt(J/2) (xi + kappa Lap xi)
+    T = 40
+    nf = sample_noise(J, T, J)
+    paper = solution_formula(np.zeros(J), nf, build_basis(J, kappa),
+                             Convention.PAPER)
+    smoothed = np.sqrt(J / 2.0) * (nf.xi + kappa * neumann_laplacian(nf.xi))
+    literal = simulate_recursion(np.zeros(J), NoiseField(T, J, smoothed, J),
+                                 kappa)
+    assert paper.convention is Convention.PAPER
+
+    def centred(u):
+        return u - u.mean(axis=1, keepdims=True)
+    assert np.abs(centred(paper.u) - centred(literal.u)).max() < 1e-12
+
+
 def test_mode_innovation_std_by_convention():
     b = build_basis(8)
     lit = mode_innovation_std(b, Convention.LITERAL)

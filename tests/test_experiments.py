@@ -240,6 +240,40 @@ def test_scaling_auto_falls_back_to_metropolis():
         rep = run_scaling_study(cfg)
     assert all(r["sampler"] == "metropolis" for r in rep.rows)
     assert rep.meta["n_used"] == 3
+    # each row says why importance gave way
+    assert all(r["detail"].startswith("effective sample size ")
+               and r["detail"].endswith(f"J={r['J']}") for r in rep.rows)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("kw, J, detail", [
+    (dict(J_list=(2, 4, 8, 16), replicates=50, convention="paper"), 2,
+     "frozen string"),
+    (dict(J_list=(4, 8, 16, 64), beta=0.005, sampler="importance",
+          replicates=300), 64,
+     "effective sample size 14.7 below floor 50.0 at beta=0.005, T=16, "
+     "J=64")], ids=["frozen", "degenerate"])
+def test_scaling_files_hold_the_report_and_each_flag_reason(tmp_path, kw, J,
+                                                            detail):
+    rep = run_scaling_study(StudyConfig(T=16, output_dir=str(tmp_path), **kw))
+    flagged = [r for r in rep.rows if r["flagged"]]
+    assert [(r["J"], r["detail"]) for r in flagged] == [(J, detail)]
+    assert all(r["detail"] is None for r in rep.rows if not r["flagged"])
+    # a collapsed ensemble leaves its R cells empty; a frozen string's R is 0
+    degenerate = "sample size" in detail
+    assert all((flagged[0][k] is None) == degenerate
+               for k in ("R_mean", "R_q05", "R_q95"))
+    csv_text = (tmp_path / "scaling.csv").read_text()
+    jsonl_text = (tmp_path / "scaling_summary.jsonl").read_text()
+    assert detail in csv_text and detail in jsonl_text
+    header, *rows = [json.loads(line, parse_constant=_reject_constant)
+                     for line in jsonl_text.splitlines()]
+    assert header == {"schema_version": ex.SCHEMA_VERSION, "kind": "scaling",
+                      **rep.meta}
+    assert rows == list(rep.rows) == parse_report_csv(csv_text)
 
 
 def test_weighted_rms_quantiles_takes_weights():
@@ -285,6 +319,20 @@ def test_tail_probe_trivial_thresholds():
             and out.meta["upper_nonincreasing"])
 
 
+def test_tail_verdict_flags_a_tail_that_rises(monkeypatch):
+    # the lower tail rises by ten combined standard errors between the
+    # horizons, the upper by one, within the three allowed
+    def cell(config, T, K1, K2):
+        return {"T": T, "lower_prob": 0.1 if T == 16 else 0.24,
+                "lower_se": 0.01, "upper_prob": 0.3 if T == 16 else 0.31,
+                "upper_se": 0.005}
+    monkeypatch.setattr(ex, "_tail_cell", cell)
+    out = run_tail_probes(_small_cfg(J_list=(8,), T_list=(32, 16)), 0.2, 0.3)
+    assert [r["T"] for r in out.rows] == [16, 32]
+    assert out.meta["lower_nonincreasing"] is False
+    assert out.meta["upper_nonincreasing"] is True
+
+
 def test_tail_probe_interior_thresholds():
     cfg = _small_cfg(J_list=(8,), T_list=(16, 32), replicates=4000)
     out = run_tail_probes(cfg, 0.2, 0.25)
@@ -311,6 +359,23 @@ def test_validation_crashed_check_is_failure(monkeypatch):
     row = rep.rows[-1]
     assert row["name"] == "boom" and not row["passed"]
     assert "kaput" in row["detail"]
+
+
+def test_report_stores_rows_over_exactly_its_fields():
+    rep = Report("t", ("a", "b", "c"), [{"c": 1.0 / 3.0, "a": 2}],
+                 {"x": 2.0 / 3.0, "n": 3})
+    assert rep.rows == ({"a": 2, "b": None, "c": quantize12(1.0 / 3.0)},)
+    assert list(rep.rows[0]) == ["a", "b", "c"]
+    assert rep.meta == {"x": quantize12(2.0 / 3.0), "n": 3}
+    with pytest.raises(ValueError, match="'d'"):
+        Report("t", ("a",), [{"a": 1, "d": 2}], {})
+
+
+def test_csv_quotes_a_comma_and_a_double_quote():
+    rows = [{"a": 'say "hi", twice', "b": 1.5}]
+    text = rows_to_csv(("a", "b"), rows)
+    assert text == 'a,b\n"say ""hi"", twice",1.5\n'
+    assert parse_report_csv(text) == rows
 
 
 def test_rows_to_csv_empty_and_format():
@@ -366,11 +431,31 @@ def test_json_lines_are_compact_and_sorted():
 
 
 # Round trips of the report and config formats.  Report floats are stored
-# at 12 significant digits, so generated floats are quantize12'd first.
+# at 12 significant digits, so generated floats are quantize12'd first;
+# generated text draws commas and double quotes as often as all other
+# characters together.
 
 _report_floats = st.floats(allow_subnormal=False).map(quantize12)
+
+
+def _reads_as_text(s):
+    """A cell the CSV parser keeps as a string: not empty, no bool
+    literal and no number."""
+    if s in ("", "true", "false"):
+        return False
+    try:
+        float(s)
+    except ValueError:
+        return True
+    return False
+
+
+# report text is one line: no control characters
+_report_text = st.text(st.one_of(st.sampled_from(',"'), st.characters(
+    blacklist_categories=("Cc", "Cs"))), max_size=8).filter(_reads_as_text)
 _report_cells = st.one_of(st.none(), st.booleans(),
-                          st.integers(-2 ** 62, 2 ** 62), _report_floats)
+                          st.integers(-2 ** 62, 2 ** 62), _report_floats,
+                          _report_text)
 
 
 def _same(a, b):

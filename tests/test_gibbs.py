@@ -254,8 +254,19 @@ def test_sample_measure_selects_and_falls_back():
     chain = metropolis_sampler(*args, seed=2, init="stationary")
     assert auto.base_measure == "Q_T(metropolis,stationary)"
     assert np.array_equal(auto.obs["R"], chain.obs["R"])
+    # the fallback keeps the importance sampler's reason
+    assert auto.diagnostics["fallback"].startswith("effective sample size")
+    assert "fallback" not in chain.diagnostics
     with pytest.raises(ValueError):
         sample_measure(*args, seed=2, sampler="bogus")
+
+
+def test_chain_estimate_reports_no_ess():
+    # a chain's unit weights would give only its draw count
+    chain = metropolis_sampler(build_basis(4), 8, 0.05, 0.5, 40, seed=1)
+    est = estimate_measure(chain, "R")
+    assert est["ess"] is None and est["n"] == 40
+    assert est["log_Z_hat"] is None and est["Q_se"] is not None
 
 
 def test_drift_leaves_pair_counts_invariant():
@@ -268,29 +279,20 @@ def test_drift_leaves_pair_counts_invariant():
 
 
 def test_jensen_bound_holds_small():
-    b = build_basis(4)
-    for a in (0.0, 0.5):
-        r = jensen_lower_bound(b, 8, 0.1, 0.5, a, 20_000, seed=13)
-        assert r["holds"]
-        assert r["bound"] <= r["logZ_over_T"] + 3e-3
+    r = jensen_lower_bound(build_basis(4), 8, 0.1, 0.5, 20_000, seed=13)
+    assert r["holds"]
+    assert r["bound"] <= r["logZ_over_T"] + 3e-3
 
 
 def test_jensen_bound_passes_convention_through():
     # both sides of the bound are taken under the requested convention
     b = build_basis(4)
-    r = jensen_lower_bound(b, 8, 0.1, 0.5, 0.5, 20_000, seed=13,
+    r = jensen_lower_bound(b, 8, 0.1, 0.5, 20_000, seed=13,
                            conv=Convention.PAPER)
     ens = sample_ensemble(b, 8, 0.1, 0.5, 20_000, seed=13,
                           conv=Convention.PAPER)
     assert r["logZ_over_T"] == estimate_measure(ens)["log_Z_hat"] / 8
     assert r["holds"]
-
-
-def test_jensen_drift_cost_is_quadratic():
-    b = build_basis(4)
-    r0 = jensen_lower_bound(b, 8, 0.1, 0.5, 0.0, 5_000, seed=13)
-    r1 = jensen_lower_bound(b, 8, 0.1, 0.5, 1.0, 5_000, seed=13)
-    assert r0["bound"] - r1["bound"] == pytest.approx(0.5 * 1.0 * 4)
 
 
 @pytest.mark.parametrize("samples", [1, 0])
@@ -299,13 +301,13 @@ def test_jensen_rejects_fewer_than_two_samples_before_any_draw(samples):
         warnings.simplefilter("error")
         with mock.patch("polymerlab.gibbs.counter_rng") as rng:
             with pytest.raises(ValueError, match=f"samples={samples}"):
-                jensen_lower_bound(build_basis(4), 8, 0.01, 0.5, 0.0,
-                                   samples, seed=1)
+                jensen_lower_bound(build_basis(4), 8, 0.01, 0.5, samples,
+                                   seed=1)
     assert not rng.called
     # two samples give a finite standard error without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = jensen_lower_bound(build_basis(4), 8, 0.01, 0.5, 0.0, 2, seed=1,
+        r = jensen_lower_bound(build_basis(4), 8, 0.01, 0.5, 2, seed=1,
                                ess_floor=1.0)
     assert np.isfinite(r["logZ_se_over_T"])
 
@@ -313,7 +315,7 @@ def test_jensen_rejects_fewer_than_two_samples_before_any_draw(samples):
 def test_jensen_bound_takes_the_zero_start_mean():
     # log Z comes from the zero profile, so E[N] must too: the stationary
     # mean (17.40 per step) put the "bound" above log Z / T here
-    r = jensen_lower_bound(build_basis(8), 8, 0.1, 0.5, 0.0, 20_000, seed=3)
+    r = jensen_lower_bound(build_basis(8), 8, 0.1, 0.5, 20_000, seed=3)
     assert r["holds"]
     assert r["mean_pairs"] == pytest.approx(19.7705, abs=1e-4)
     assert r["bound"] == pytest.approx(-1.97705, abs=1e-5)
