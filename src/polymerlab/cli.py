@@ -47,7 +47,6 @@ _FLAGS = {
     "--convention": dict(choices=("literal", "paper")),
     "--replicates": dict(type=int),
     "--out": dict(dest="output_dir", metavar="DIR", help="report directory"),
-    "--drift": dict(type=float, default=0.0, help="mean of the noise"),
     "--format": dict(choices=("csv", "binary"), default="csv"),
     "--rho": dict(type=float, default=0.0),
     "--sigma2": dict(type=float, default=1.0),
@@ -90,10 +89,8 @@ def _cmd_spectra(cfg, args) -> int:
 
 def _cmd_simulate(cfg, args) -> int:
     J = cfg.one_width()
-    if not np.isfinite(args.drift):
-        raise ConfigError(f"--drift must be finite, got {args.drift}")
-    noise = sample_noise(cfg.seed, cfg.T, J, args.drift)
-    traj = simulate_recursion(np.zeros(J), noise, cfg.kappa)
+    traj = simulate_recursion(np.zeros(J), sample_noise(cfg.seed, cfg.T, J),
+                              cfg.kappa)
     if args.format == "csv":
         rows = ({"t": t, "n": n, "u": u} for t, row in enumerate(traj.u)
                 for n, u in enumerate(row))
@@ -190,7 +187,7 @@ _COMMANDS = {
     "spectra": (_cmd_spectra, "eigenvalue and weight table",
                 "--config --J --kappa --out", _ONE_WIDTH),
     "simulate": (_cmd_simulate, "one free trajectory",
-                 "--config --J --T --seed --kappa --drift --format --out",
+                 "--config --J --T --seed --kappa --format --out",
                  _ONE_WIDTH),
     "variance-scan": (_cmd_variance_scan,
                       "increment variances across widths",

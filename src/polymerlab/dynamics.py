@@ -6,17 +6,16 @@ The field u(t, n) on {0..T} x {0..J-1} evolves by
     u(t+1, n) = u(t, n) + kappa*(u(t, n+1) - 2 u(t, n) + u(t, n-1)) + xi(t, n)
 
 with Neumann ghost cells u(t, -1) = u(t, 0) and u(t, J) = u(t, J-1), and
-iid standard normal xi (optionally mean-shifted by a drift a).  In the
-orthonormal mode basis e_m the recursion decouples into AR(1) chains
-X_{t+1} = rho_m X_t + innovation; free_modes gives their law, from
-which every sampler and closed form of the free string starts.
+iid standard normal xi.  In the orthonormal mode basis e_m the recursion
+decouples into AR(1) chains X_{t+1} = rho_m X_t + innovation; free_modes
+gives their law, from which every sampler and closed form of the free
+string starts.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,7 +25,8 @@ from .spectral import Basis, Convention, green_function
 
 _BINARY_MAGIC = b"PLY1"
 _BINARY_VERSION = 2
-_BINARY_HEADERS = {1: "<4sIIIqB", 2: "<4sIIIqBd"}    # version 2 adds kappa
+# magic, version, J, T, seed, convention byte, kappa
+_BINARY_HEADER = "<4sIIIqBd"
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class NoiseField:
     J: int
     xi: np.ndarray
     seed: int
-    drift: float = 0.0
 
     def __post_init__(self):
         if self.xi.shape != (self.T, self.J):
@@ -100,13 +99,12 @@ def map_costliest_first(fn, items, cost) -> list:
     return [done[i] for i in range(len(items))]
 
 
-def sample_noise(seed: int, T: int, J: int, drift: float = 0.0) -> NoiseField:
-    """T x J iid Normal(drift, 1) draws, filled t-major then n-ascending."""
+def sample_noise(seed: int, T: int, J: int) -> NoiseField:
+    """T x J iid standard normal draws, filled t-major then n-ascending."""
     if T < 1 or J < 1:
         raise ValueError("need T >= 1 and J >= 1")
     rng = counter_rng(seed)
-    xi = drift + rng.standard_normal((T, J))
-    return NoiseField(T=T, J=J, xi=xi, seed=seed, drift=drift)
+    return NoiseField(T=T, J=J, xi=rng.standard_normal((T, J)), seed=seed)
 
 
 def neumann_laplacian(u: np.ndarray, out: np.ndarray | None = None
@@ -244,38 +242,33 @@ def write_trajectory_binary(traj: Trajectory, path) -> None:
     the field as little-endian float64 in C order."""
     seed = -1 if traj.seed is None else int(traj.seed)
     conv_byte = 0 if traj.convention is Convention.LITERAL else 1
-    header = struct.pack(_BINARY_HEADERS[_BINARY_VERSION], _BINARY_MAGIC,
-                         _BINARY_VERSION, traj.J, traj.T, seed, conv_byte,
-                         traj.kappa)
+    header = struct.pack(_BINARY_HEADER, _BINARY_MAGIC, _BINARY_VERSION,
+                         traj.J, traj.T, seed, conv_byte, traj.kappa)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(traj.u, dtype="<f8").tobytes())
 
 
 def read_trajectory_binary(path) -> Trajectory:
-    """Inverse of write_trajectory_binary.  A version-1 dump stores no
-    kappa and reads back with kappa 0.5 and a warning; a file whose
-    length does not match its header raises ValueError."""
+    """Inverse of write_trajectory_binary.  Another magic or version, or
+    a file whose length does not match its header, raises ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic, version = data[:4], int.from_bytes(data[4:8], "little")
     if magic != _BINARY_MAGIC:
         raise ValueError(f"not a trajectory dump (magic {magic!r})")
-    if version not in _BINARY_HEADERS:
+    if version != _BINARY_VERSION:
         raise ValueError(f"unsupported dump version {version}")
-    fmt = _BINARY_HEADERS[version]
-    head = struct.calcsize(fmt)
+    head = struct.calcsize(_BINARY_HEADER)
     if len(data) < head:
         raise ValueError(f"{path}: expected a {head}-byte header, found "
                          f"{len(data)} bytes")
-    _, _, J, T, seed, conv_byte, *kappa = struct.unpack_from(fmt, data)
+    _, _, J, T, seed, conv_byte, kappa = struct.unpack_from(_BINARY_HEADER,
+                                                            data)
     if len(data) != head + 8 * (T + 1) * J:
         raise ValueError(f"{path}: expected {head + 8 * (T + 1) * J} bytes "
                          f"for T={T}, J={J}, found {len(data)}")
-    if not kappa:
-        warnings.warn(f"{path}: version-1 dump stores no kappa; reading "
-                      f"kappa as 0.5", UserWarning)
     u = np.frombuffer(data, dtype="<f8", offset=head).reshape(T + 1, J).copy()
     conv = Convention.LITERAL if conv_byte == 0 else Convention.PAPER
-    return Trajectory(u=u, kappa=kappa[0] if kappa else 0.5, convention=conv,
+    return Trajectory(u=u, kappa=kappa, convention=conv,
                       seed=None if seed < 0 else seed)

@@ -732,7 +732,10 @@ def emit_report(report: Report, format: str, out_dir: str) -> str:
 
 
 def read_report_jsonl(path: str) -> tuple:
-    """(meta, rows) from an emitted JSONL file."""
+    """(meta, rows) from an emitted JSONL file; a file with no header
+    line raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [json.loads(ln) for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: no header line")
     return lines[0], lines[1:]

@@ -58,11 +58,11 @@ def test_simulate_csv_and_binary(tmp_path, capsys):
 def test_simulate_csv_keeps_the_trajectory_format(tmp_path, capsys):
     # the t-major "t,n,u" table at 12 significant digits, written out here
     # independently of the report writer, on stdout and in the file
-    traj = simulate_recursion(np.zeros(4), sample_noise(2, 8, 4, 0.25), 0.3)
+    traj = simulate_recursion(np.zeros(4), sample_noise(2, 8, 4), 0.3)
     want = "t,n,u\n" + "".join(f"{t},{n},{traj.u[t, n]:.12g}\n"
                                for t in range(9) for n in range(4))
     argv = ("simulate", "--J", "4", "--T", "8", "--seed", "2", "--kappa",
-            "0.3", "--drift", "0.25")
+            "0.3")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == want
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
@@ -112,6 +112,19 @@ def test_gibbs_metropolis_smoke(capsys):
                        "--sampler", "metropolis")
     assert code == 0
     assert "acceptance" in out
+
+
+def test_gibbs_chain_reports_a_low_rate_without_warning(capsys):
+    # at beta = 5 the chain accepts under 2 % of its moves: the rate is in
+    # the JSON line, and nothing reaches stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "gibbs", "--J", "8", "--T", "16",
+                             "--beta", "5", "--sampler", "metropolis",
+                             "--replicates", "60")
+    assert code == 0
+    assert [str(w.message) for w in caught] == [] and err == ""
+    assert '"acceptance_rate":0.018375' in out
 
 
 def test_gibbs_rejects_drift(capsys):
@@ -273,7 +286,6 @@ def test_bad_flag_value_exits_two(capsys):
     for argv in (("scaling", "--J", "4,eight"), ("ldp", "--x", "1,abc"),
                  gibbs + ("--epsilon", "nan"), gibbs + ("--beta", "inf"),
                  ("ldp", "--x=-1,inf"), ("ldp", "--x", "nan"),
-                 ("simulate", "--T", "2", "--drift", "nan"),
                  ("ldp", "--K", "inf"),
                  ("tails", "--T-list", "4,8", "--K2", "inf"),
                  ("scaling", "--J", "8,8,16", "--T", "4", "--replicates",
@@ -309,7 +321,7 @@ def test_negative_seed_exits_two(argv, capsys):
 
 FLAGS = {
     "spectra": "--config --J --kappa --out",
-    "simulate": "--config --J --T --seed --kappa --drift --format --out",
+    "simulate": "--config --J --T --seed --kappa --format --out",
     "variance-scan": "--config --J --convention --out",
     "gibbs": "--config --J --T --beta --epsilon --seed --sampler "
              "--convention --replicates",
@@ -329,7 +341,7 @@ def test_each_subcommand_accepts_only_its_flags():
     got = {name: {s for a in p._actions for s in a.option_strings}
            - {"-h", "--help"} for name, p in sub.choices.items()}
     assert got == {name: set(flags.split()) for name, flags in FLAGS.items()}
-    assert sum(map(len, got.values())) == 58
+    assert sum(map(len, got.values())) == 57
 
 
 @pytest.mark.parametrize("argv", [
@@ -340,6 +352,8 @@ def test_each_subcommand_accepts_only_its_flags():
     ("validate", "--beta", "0.1"),
     ("spectra", "--seed", "1"),
     ("ldp", "--J", "8"),
+    # no subcommand declares --drift
+    ("simulate", "--drift", "1"),
 ])
 def test_flag_of_another_subcommand_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -48,12 +48,7 @@ def test_sample_noise_shape_and_determinism():
     nf = sample_noise(3, 7, 5)
     assert nf.xi.shape == (7, 5)
     assert np.array_equal(nf.xi, sample_noise(3, 7, 5).xi)
-    assert nf.seed == 3 and nf.drift == 0.0
-
-
-def test_sample_noise_drift_shifts_mean():
-    nf = sample_noise(3, 2000, 4, drift=1.5)
-    assert nf.xi.mean() == pytest.approx(1.5, abs=0.05)
+    assert nf.seed == 3
 
 
 def test_neumann_laplacian_interior_and_edges():
@@ -94,7 +89,7 @@ def test_laplacian_annihilates_constants_and_checkerboard_eigen():
 
 def test_recursion_conserves_mean_when_noise_is_centered():
     J = 5
-    nf = NoiseField(4, J, np.zeros((4, J)), None, 0.0)
+    nf = NoiseField(4, J, np.zeros((4, J)), None)
     u0 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     traj = simulate_recursion(u0, nf)
     assert np.allclose(traj.u.mean(axis=1), u0.mean(), atol=1e-12)
@@ -102,7 +97,7 @@ def test_recursion_conserves_mean_when_noise_is_centered():
 
 def test_recursion_hand_step():
     # one explicit half-diffusion step
-    nf = NoiseField(1, 3, np.array([[0.1, 0.2, 0.3]]), None, 0.0)
+    nf = NoiseField(1, 3, np.array([[0.1, 0.2, 0.3]]), None)
     traj = simulate_recursion(np.array([0.0, 1.0, 0.0]), nf, kappa=0.5)
     expect = np.array([0.0 + 0.5 * 1.0 + 0.1,
                        1.0 + 0.5 * (0.0 - 2.0 + 0.0) + 0.2,
@@ -265,16 +260,14 @@ def test_binary_stores_kappa(tmp_path):
     assert read_trajectory_binary(path).kappa == 0.3
 
 
-def test_binary_reads_version_one_with_warning(tmp_path):
+def test_binary_rejects_version_one(tmp_path):
+    # a version-1 dump stores no kappa; only version 2 is read
     u = np.arange(6.0).reshape(3, 2)
     path = tmp_path / "v1.bin"
     path.write_bytes(struct.pack("<4sIIIqB", b"PLY1", 1, 2, 2, 17, 1)
                      + u.astype("<f8").tobytes())
-    with pytest.warns(UserWarning, match="kappa"):
-        back = read_trajectory_binary(path)
-    assert np.array_equal(back.u, u)
-    assert (back.kappa, back.seed) == (0.5, 17)
-    assert back.convention is Convention.PAPER
+    with pytest.raises(ValueError, match="unsupported dump version 1"):
+        read_trajectory_binary(path)
 
 
 def test_binary_short_file_names_file_and_sizes(tmp_path):

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
-from scipy.stats import ks_2samp, norm
+from scipy.stats import chi2, ks_2samp, kstest, norm
 
 from polymerlab.dynamics import (counter_rng, free_modes,
                                  mode_innovation_std, neumann_laplacian)
@@ -365,6 +365,50 @@ def test_metropolis_zero_beta_pair_sum_meets_the_exact_mean(init, conv,
     assert abs(n_sum.mean() - exact) < 4.0 * se, (exact, n_sum.mean(), se)
 
 
+# At J = 2, kappa = 1/2 under LITERAL the one mode has rho = 0, so its
+# steps are iid N(0, 1) from either start: T J R^2 ~ chi2(T), and the pair
+# is near at a step with p = erf(eps / 2), so Var N_sum = 4 T p (1 - p).
+# (Under PAPER that mode has no innovation and the string is frozen.)
+def _sample_var_z(x, exact):
+    """(sample variance - exact) / its SE, SE^2 = (m4 - s^4) / n."""
+    s2 = x.var(ddof=1)
+    m4 = np.mean((x - x.mean()) ** 4)
+    return (s2 - exact) / np.sqrt((m4 - s2 ** 2) / x.size)
+
+
+def _check_two_site_law(R, T, n_sum=None):
+    q = T * 2 * R ** 2
+    assert kstest(q, chi2(T).cdf).pvalue > 0.01
+    assert abs(_sample_var_z(q, 2.0 * T)) < 4.0
+    if n_sum is not None:
+        p = math.erf(0.5 / 2)
+        assert abs(_sample_var_z(n_sum.astype(float),
+                                 4.0 * T * p * (1 - p))) < 4.0
+
+
+@pytest.mark.parametrize("T, init, seed", [
+    (8, "zero", 2601), (16, "zero", 2602), (8, "stationary", 2603),
+    (16, "stationary", 2604)])
+def test_two_site_ensemble_meets_the_exact_law(T, init, seed):
+    ens = sample_ensemble(build_basis(2), T, 0.0, 0.5, 20_000, seed,
+                          init=init)
+    _check_two_site_law(ens.obs["R"], T, ens.obs["N_sum"])
+
+
+def test_two_site_stationary_radius_meets_the_exact_law():
+    _check_two_site_law(_stationary_mode_r(build_basis(2), 8, 20_000,
+                                           counter_rng(2605),
+                                           Convention.LITERAL), 8)
+
+
+def test_two_site_chain_meets_the_exact_law():
+    # thin 10 leaves a lag-one correlation of the pCN state of
+    # 0.714^10 = 0.03
+    ens = metropolis_sampler(build_basis(2), 16, 0.0, 0.5, 2000, seed=2607,
+                             thin=10, init="stationary")
+    _check_two_site_law(ens.obs["R"], 16, ens.obs["N_sum"])
+
+
 def test_metropolis_zero_beta_accepts_everything():
     b = build_basis(4)
     ens = metropolis_sampler(b, 6, 0.0, 0.5, 50, seed=2, thin=2, burnin=10)
@@ -510,8 +554,7 @@ def test_sweep_matches_reference_chain(J, T, init, conv):
 
     # under PAPER the J = 2 mode has rho = 0 and so no innovation: its
     # pair is always near, no proposal changes the count and all are
-    # accepted; no proposal scale could change that, so the sampler must
-    # not ask for retuning
+    # accepted
     frozen = J == 2 and conv is Convention.PAPER
     with mock.patch.object(_NoiseChain, "_propose", logged), \
             warnings.catch_warnings():
@@ -594,6 +637,10 @@ def test_metropolis_scale_validation():
         metropolis_sampler(b, 4, 0.1, 0.5, 5, seed=1, proposal_scale=1.5)
 
 
+# StudyConfig's message
+_BAD_BETA = "beta must be finite and nonnegative"
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda b: metropolis_sampler(b, 4, 0.1, 0.5, 3, seed=1, thin=0),
      "thin=0"),
@@ -607,10 +654,18 @@ def test_metropolis_scale_validation():
     (lambda b: metropolis_sampler(b, 4, 0.1, np.nan, 3, seed=1), "epsilon"),
     (lambda b: sample_ensemble(b, 0, 0.1, 0.5, 10, seed=1), "T=0"),
     (lambda b: sample_ensemble(b, 4, 0.1, 0.5, 0, seed=1), "count=0"),
+    (lambda b: metropolis_sampler(b, 4, np.nan, 0.5, 3, seed=1), _BAD_BETA),
+    (lambda b: metropolis_sampler(b, 4, -1.0, 0.5, 3, seed=1), _BAD_BETA),
+    (lambda b: metropolis_sampler(b, 4, np.inf, 0.5, 3, seed=1), _BAD_BETA),
+    (lambda b: sample_ensemble(b, 4, np.nan, 0.5, 10, seed=1), _BAD_BETA),
+    (lambda b: sample_ensemble(b, 4, -1.0, 0.5, 10, seed=1), _BAD_BETA),
+    (lambda b: sample_ensemble(b, 4, np.inf, 0.5, 10, seed=1), _BAD_BETA),
 ], ids=["metropolis-thin", "metropolis-burnin", "metropolis-T",
         "metropolis-n_samples", "metropolis-epsilon-0",
         "metropolis-epsilon-negative", "metropolis-epsilon-nan",
-        "ensemble-T", "ensemble-count"])
+        "ensemble-T", "ensemble-count", "metropolis-beta-nan",
+        "metropolis-beta-negative", "metropolis-beta-inf",
+        "ensemble-beta-nan", "ensemble-beta-negative", "ensemble-beta-inf"])
 def test_sampler_sizes_rejected_before_any_draw(call, match):
     with mock.patch("polymerlab.gibbs.counter_rng") as rng:
         with pytest.raises(ValueError, match=match):
@@ -618,9 +673,13 @@ def test_sampler_sizes_rejected_before_any_draw(call, match):
     assert not rng.called
 
 
-def test_metropolis_acceptance_warning():
-    b = build_basis(4)
-    # epsilon so small no proposal ever creates a near pair: every move
-    # weakly lowers the contact count, so everything is accepted
-    with pytest.warns(RuntimeWarning):
-        metropolis_sampler(b, 4, 50.0, 1e-8, 10, seed=1, thin=1, burnin=5)
+@pytest.mark.parametrize("J", [8, 16])
+@pytest.mark.parametrize("beta", [0.005, 0.01, 0.02, 0.05])
+def test_chain_reports_its_rate_without_warning(J, beta):
+    # a pCN chain accepts nearly every move as beta -> 0, which is healthy;
+    # the rate goes into the diagnostics and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = metropolis_sampler(build_basis(J), 32, beta, 0.5, 40, seed=3,
+                                 init="stationary")
+    assert 0.0 < ens.diagnostics["acceptance_rate"] <= 1.0

@@ -31,9 +31,9 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused
 
 
-def _scipy_imports(tree: ast.Module) -> list:
-    """Lines of every import of scipy, at module level or inside a
-    function."""
+def _imports_of(tree: ast.Module, module: str) -> list:
+    """Lines of every import of `module` or a submodule of it, at module
+    level or inside a function; relative imports are the package's own."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -43,16 +43,25 @@ def _scipy_imports(tree: ast.Module) -> list:
         else:
             continue
         lines += [node.lineno for name in names
-                  if name.split(".")[0] == "scipy"]
+                  if name.split(".")[0] == module]
     return lines
+
+
+def _found(module: str) -> list:
+    return [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in _imports_of(
+                ast.parse(path.read_text(encoding="utf-8")), module)]
 
 
 def test_no_module_imports_scipy():
     # the package is numpy-only; scipy is a test oracle
-    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
-             for line in _scipy_imports(
-                 ast.parse(path.read_text(encoding="utf-8")))]
-    assert not found
+    assert not _found("scipy")
+
+
+def test_no_module_imports_warnings():
+    # the package raises on bad input and reports a run's quality in its
+    # output; it never warns
+    assert not _found("warnings")
 
 
 def test_the_guard_flags_a_lazy_scipy_import():
@@ -62,7 +71,16 @@ def test_the_guard_flags_a_lazy_scipy_import():
                      "    import scipy.stats as st, os\n"
                      "    from . import scipy\n"
                      "    return erf(x)\n")
-    assert _scipy_imports(tree) == [3, 4]
+    assert _imports_of(tree, "scipy") == [3, 4]
+
+
+def test_the_guard_flags_a_warnings_import():
+    tree = ast.parse("import warnings\n"
+                     "def f():\n"
+                     "    from warnings import warn\n"
+                     "    import os, warnings as w\n"
+                     "    warn('x')\n")
+    assert _imports_of(tree, "warnings") == [1, 3, 4]
 
 
 def test_the_guard_flags_an_unused_import():
