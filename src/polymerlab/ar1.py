@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import counter_rng, map_costliest_first
+from .dynamics import counter_rng, map_units
 from .spectral import Basis
 
 _LEGENDRE_GRID = 20_001
-# chains per tail_probe chunk
-_CHUNK = 100_000
 
 
 class DegenerateProcessError(ValueError):
@@ -195,16 +193,15 @@ def tail_probe(params: AR1Params, T: int, K: float, samples: int,
     """Monte Carlo estimate of -(1/T) log P(S_T > K) for the chain
     started at 0, reported next to the rate function at K.
 
-    Chunks of _CHUNK chains run on one thread per usable CPU
-    (map_costliest_first; chunk sizes never rise, so they start in chunk
-    order), each from its own deterministic stream (counter_rng(seed, 7,
-    chunk index)), and the counts are reduced in chunk order, so the
-    result does not depend on the number of workers.  A chunk runs
-    square_sums on a (chunk, 1) state, so its draws are step-major: step
-    t takes the t-th run of chunk values from the stream, and a worker
-    holds a few chunk-length vectors whatever T is.  The X_t equal those
+    The chains run as units of dynamics.map_units (65 536 chains each)
+    on one thread per usable CPU, unit i from its own stream
+    (counter_rng(seed, 7, i)), and the counts are summed in unit order,
+    so the result does not depend on the number of workers.  A unit runs
+    square_sums on a (rows, 1) state, so its draws are step-major: step
+    t takes the t-th run of rows values from the stream, and a worker
+    holds a few unit-length vectors whatever T is.  The X_t equal those
     of the direct-form filter (scipy.signal.lfilter) run along the time
-    axis of a (T, chunk) draw bit for bit, and S_T sums them in time
+    axis of a (T, rows) draw bit for bit, and S_T sums them in time
     order as a numpy mean along that axis does.  Fewer than 20
     exceedances flags the result as underpowered; zero exceedances
     report an infinite empirical rate, still flagged, never an error.
@@ -217,17 +214,13 @@ def tail_probe(params: AR1Params, T: int, K: float, samples: int,
     if T < 1 or samples < 1:
         raise ValueError("T and samples must be positive")
     sigma = np.sqrt(params.sigma2)
-    sizes = [min(_CHUNK, samples - start)
-             for start in range(0, samples, _CHUNK)]
 
-    def run(idx_size):
-        idx, size = idx_size
-        sq_sum = square_sums(counter_rng(seed, 7, idx), params.rho, sigma,
-                             np.zeros((size, 1)), T)
+    def run(index, rows):
+        sq_sum = square_sums(counter_rng(seed, 7, index), params.rho,
+                             sigma, np.zeros((rows, 1)), T)
         return int(np.count_nonzero(sq_sum / T > K))
 
-    exceed = sum(map_costliest_first(run, enumerate(sizes),
-                                     cost=lambda idx_size: idx_size[1]))
+    exceed = sum(map_units(run, samples, 1))
 
     if exceed == 0:
         emp = float("inf")

@@ -23,6 +23,10 @@ import numpy as np
 
 from .spectral import Basis, Convention, green_function
 
+# values (rows * width) in one unit of a replicate loop: 512 rows at
+# J = 128, one scan block of the pair counter
+_UNIT_VALUES = 1 << 16
+
 _BINARY_MAGIC = b"PLY1"
 _BINARY_VERSION = 2
 # magic, version, J, T, seed, convention byte, kappa
@@ -97,6 +101,22 @@ def map_costliest_first(fn, items, cost) -> list:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         done = dict(zip(order, pool.map(lambda i: fn(items[i]), order)))
     return [done[i] for i in range(len(items))]
+
+
+def map_units(fn, count: int, width: int) -> list:
+    """[fn(index, rows) for each unit] on map_costliest_first.
+
+    `count` replicates of `width` values each are cut into units of
+    max(1, _UNIT_VALUES // width) rows, the last one ragged.  Unit sizes
+    never rise, so units start in unit order; results come back in unit
+    order.  A caller that draws unit `index` from its own stream gets the
+    same results at any number of workers.
+    """
+    size = max(1, _UNIT_VALUES // width)
+    units = [(index, min(size, count - start))
+             for index, start in enumerate(range(0, count, size))]
+    return map_costliest_first(lambda unit: fn(*unit), units,
+                               cost=lambda unit: unit[1])
 
 
 def sample_noise(seed: int, T: int, J: int) -> NoiseField:

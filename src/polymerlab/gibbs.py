@@ -15,14 +15,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import (FreeModes, counter_rng, free_modes,
+from .dynamics import (FreeModes, counter_rng, free_modes, map_units,
                        mode_innovation_std, neumann_laplacian)
 from .observables import intersection_counts_batch, near_pairs
 from .spectral import Basis, Convention
 
 SAMPLERS = ("importance", "metropolis", "auto")
-# replicates sample_ensemble runs as one batch
-_CHUNK = 20_000
 
 
 class SamplerDegeneracyError(RuntimeError):
@@ -112,18 +110,21 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
     """Importance-sampling ensemble: free trajectories from the base law
     that metropolis_sampler targets (same init and convention), with
     Boltzmann log weights attached.  init "stationary" draws the first
-    row from the exact stationary law of the modes m >= 1.  Chunks of
-    _CHUNK replicates run as one batch each, accumulating R and the pair
-    counts across time in place on four (chunk, J) buffers (the profile,
-    the Laplacian, the noise and the deviation), so memory stays
-    O(chunk*J) for any T and a step allocates nothing but its pair
-    count.
+    row from the exact stationary law of the modes m >= 1.
 
-    The pair count runs in the calling thread.  On a worker thread
-    beside the recursion it cut the op by 40 % on an idle 2-core host,
-    but the two threads pass the GIL through the count's many small
-    numpy calls and meet at every step, so on a shared host the op's
-    time swung by a factor of two from run to run."""
+    The replicates run as units of dynamics.map_units (512 rows at
+    J = 128) on one thread per usable CPU.  Unit i draws from its own
+    stream, counter_rng(seed, 3, i), and R and N_sum are concatenated in
+    unit order, so the ensemble does not depend on the number of
+    workers.  A unit accumulates R and the pair counts across time in
+    place on four (rows, J) buffers of its own (the profile, the
+    Laplacian, the noise and the deviation), so memory stays O(rows*J)
+    per worker for any T and a step allocates nothing but its pair
+    count.  Units share no buffer and never wait for each other: a pair
+    count run on a worker thread beside its recursion met the caller at
+    every step and swung the op's time by a factor of two on a shared
+    host, but a unit runs its recursion and its counts in one thread and
+    meets the others only when it returns."""
     modes = free_modes(basis, conv, init)
     # checked here, so bad arguments cost no step
     if not 0.0 <= beta < math.inf:
@@ -137,10 +138,9 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
     # LITERAL drives every mode with unit innovations: white site noise
     sig = (None if conv is Convention.LITERAL
            else mode_innovation_std(basis, conv))
-    rng = counter_rng(seed)
-    Rs, Ns = [], []
-    for done in range(0, count, _CHUNK):
-        c = min(_CHUNK, count - done)
+
+    def run(index, c):
+        rng = counter_rng(seed, 3, index)
         # the zero start draws nothing
         u = (modes.start(rng, c) @ modes.e1 if init == "stationary"
              else np.zeros((c, J)))
@@ -168,8 +168,9 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
             np.sum(dev, axis=1, out=sq)
             sq_acc += sq
             n_acc += intersection_counts_batch(u, epsilon)
-        Rs.append(np.sqrt(sq_acc / (T * J)))
-        Ns.append(n_acc)
+        return np.sqrt(sq_acc / (T * J)), n_acc
+
+    Rs, Ns = zip(*map_units(run, count, J))
     n_sum = np.concatenate(Ns)
     # a huge beta gives -inf log weights, which _checked_weights reports
     with np.errstate(over="ignore"):

@@ -250,7 +250,7 @@ def test_tail_probe_counts_and_rate():
 def test_tail_probe_thread_count_invariant(monkeypatch):
     p = AR1Params(rho=0.3, sigma2=1.0)
     kw = dict(T=8, K=2.5, samples=60_000, seed=5)
-    monkeypatch.setattr(ar1, "_CHUNK", 10_000)
+    monkeypatch.setattr(dynamics, "_UNIT_VALUES", 10_000)
     monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
     a = tail_probe(p, **kw)
     monkeypatch.setattr(dynamics, "usable_cpus", lambda: 4)
@@ -258,15 +258,16 @@ def test_tail_probe_thread_count_invariant(monkeypatch):
     assert a == b
 
 
-def _lfilter_exceedances(params, T, K, samples, seed, chunk):
-    """Oracle: the same per-chunk draws, step-major as a (T, chunk)
-    array, run through scipy's direct filter along the time axis, with
-    S_T as the numpy mean over that axis."""
+def _lfilter_exceedances(params, T, K, samples, seed, unit):
+    """Oracle: the same per-unit draws, unit i from counter_rng(seed, 7,
+    i), step-major as a (T, unit) array, run through scipy's direct
+    filter along the time axis, with S_T as the numpy mean over that
+    axis."""
     sigma = np.sqrt(params.sigma2)
     total = 0
-    for idx, start in enumerate(range(0, samples, chunk)):
-        xi = counter_rng(seed, 7, idx).standard_normal(
-            (T, min(chunk, samples - start)))
+    for index, start in enumerate(range(0, samples, unit)):
+        xi = counter_rng(seed, 7, index).standard_normal(
+            (T, min(unit, samples - start)))
         x = lfilter([sigma], [1.0, -params.rho], xi, axis=0)
         total += int(np.count_nonzero(np.mean(x * x, axis=0) > K))
     return total
@@ -278,20 +279,20 @@ def _lfilter_exceedances(params, T, K, samples, seed, chunk):
 @pytest.mark.parametrize("seed", [0, 11])
 def test_tail_probe_counts_equal_lfilter(monkeypatch, rho, sigma2, T, K,
                                          seed):
-    # chunks of 40_000 leave a ragged last chunk of 30_000
+    # units of 40_000 chains leave a ragged last unit of 30_000
     p = AR1Params(rho=rho, sigma2=sigma2)
-    monkeypatch.setattr(ar1, "_CHUNK", 40_000)
+    monkeypatch.setattr(dynamics, "_UNIT_VALUES", 40_000)
     kw = dict(T=T, K=K, samples=150_000, seed=seed)
     out = tail_probe(p, **kw)
     assert out["exceedances"] > 100
-    assert out["exceedances"] == _lfilter_exceedances(p, chunk=40_000, **kw)
+    assert out["exceedances"] == _lfilter_exceedances(p, unit=40_000, **kw)
 
 
 def test_tail_probe_working_set_is_bounded(monkeypatch):
-    # one (chunk, T) draw would hold 50_000 * 400 * 8 B = 160 MB; numpy
+    # one (unit, T) draw would hold 50_000 * 400 * 8 B = 160 MB; numpy
     # reports its buffers to tracemalloc
     p = AR1Params(rho=0.6, sigma2=1.0)
-    monkeypatch.setattr(ar1, "_CHUNK", 50_000)
+    monkeypatch.setattr(dynamics, "_UNIT_VALUES", 50_000)
     monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
     tracemalloc.start()
     try:

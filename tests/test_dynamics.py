@@ -1,11 +1,12 @@
 import struct
+import threading
 
 import numpy as np
 import pytest
 
 from polymerlab import dynamics
 from polymerlab.dynamics import (NoiseField, Trajectory, counter_rng,
-                                 free_modes, map_costliest_first,
+                                 free_modes, map_costliest_first, map_units,
                                  mode_innovation_std,
                                  neumann_laplacian, read_trajectory_binary,
                                  sample_noise, simulate_recursion,
@@ -42,6 +43,51 @@ def test_map_costliest_first_starts_by_cost_and_returns_in_order(
     monkeypatch.setattr(dynamics, "usable_cpus", lambda: 4)
     with pytest.raises(ArithmeticError):
         map_costliest_first(fail, items, cost=lambda it: it[1])
+
+
+def test_map_units_cuts_rows_that_never_rise(monkeypatch):
+    # 12 values per unit; one worker shows the start order
+    monkeypatch.setattr(dynamics, "_UNIT_VALUES", 12)
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+    started = []
+
+    def fn(index, rows):
+        started.append(index)
+        return index, rows
+
+    assert map_units(fn, 11, 4) == [(0, 3), (1, 3), (2, 3), (3, 2)]
+    for count, width in ((1, 1), (10, 1), (12, 1), (13, 5), (5, 12),
+                         (4, 13), (3, 1000)):
+        started.clear()
+        units = map_units(fn, count, width)
+        sizes = [rows for _, rows in units]
+        assert [index for index, _ in units] == list(range(len(units)))
+        assert started == list(range(len(units)))
+        assert sum(sizes) == count
+        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+        if width >= 12:
+            # a replicate wider than a unit still runs as one row
+            assert sizes == [1] * count
+
+
+def test_map_units_returns_in_unit_order(monkeypatch):
+    # four units on four workers: unit 0 finishes last, after unit 3 has
+    # finished, and still comes back first
+    monkeypatch.setattr(dynamics, "_UNIT_VALUES", 2)
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 4)
+    last = threading.Event()
+    finished = []
+
+    def fn(index, rows):
+        if index == 0:
+            assert last.wait(timeout=60)
+        finished.append(index)
+        if index == 3:
+            last.set()
+        return 10 * index + rows
+
+    assert map_units(fn, 7, 1) == [2, 12, 22, 31]
+    assert finished[-1] == 0
 
 
 def test_sample_noise_shape_and_determinism():

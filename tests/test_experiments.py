@@ -199,7 +199,10 @@ def test_scaling_study_deterministic(tmp_path):
 
 def test_scaling_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     # one worker shows the start order; at more, threads may record
-    # their starts out of order
+    # their starts out of order.  The beta > 0 importance study runs
+    # each cell's replicates as 64 to 256-row units on a pool of its own,
+    # inside the cell pool
+    monkeypatch.setattr(dynamics, "_UNIT_VALUES", 1024)
     cell = ex._scaling_cell
     started = []
 
@@ -208,20 +211,23 @@ def test_scaling_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
         return cell(config, J)
 
     monkeypatch.setattr(ex, "_scaling_cell", recording_cell)
-    outputs = []
-    for workers in (1, 2, 4):
-        monkeypatch.setattr(dynamics, "usable_cpus", lambda: workers)
-        started.clear()
-        d = tmp_path / str(workers)
-        rep = run_scaling_study(_small_cfg(J_list=(8, 4, 16),
-                                           output_dir=str(d)))
-        assert [r["J"] for r in rep.rows] == [8, 4, 16]
-        if workers == 1:
-            assert started == [16, 8, 4]
-        assert sorted(started) == [4, 8, 16]
-        outputs.append([(d / name).read_bytes() for name in
-                        ("scaling.csv", "scaling_summary.jsonl")])
-    assert outputs[0] == outputs[1] == outputs[2]
+    for name, kw in (("free", {}),
+                     ("importance", dict(beta=0.002, sampler="importance"))):
+        outputs = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(dynamics, "usable_cpus", lambda: workers)
+            started.clear()
+            d = tmp_path / name / str(workers)
+            rep = run_scaling_study(_small_cfg(J_list=(8, 4, 16),
+                                               output_dir=str(d), **kw))
+            assert [r["J"] for r in rep.rows] == [8, 4, 16]
+            assert not any(r["flagged"] for r in rep.rows)
+            if workers == 1:
+                assert started == [16, 8, 4]
+            assert sorted(started) == [4, 8, 16]
+            outputs.append([(d / file).read_bytes() for file in
+                            ("scaling.csv", "scaling_summary.jsonl")])
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_scaling_importance_degenerates_and_raises():
@@ -251,7 +257,7 @@ def _reject_constant(name):
      "frozen string"),
     (dict(J_list=(4, 8, 16, 64), beta=0.005, sampler="importance",
           replicates=300), 64,
-     "effective sample size 14.7 below floor 50.0 at beta=0.005, T=16, "
+     "effective sample size 6.7 below floor 50.0 at beta=0.005, T=16, "
      "J=64")], ids=["frozen", "degenerate"])
 def test_scaling_files_hold_the_report_and_each_flag_reason(tmp_path, kw, J,
                                                             detail):

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -18,7 +19,7 @@ from polymerlab.gibbs import (SamplerDegeneracyError, WeightedEnsemble,
                               estimate_measure, jensen_lower_bound,
                               mean_pair_counts, metropolis_sampler,
                               sample_ensemble, sample_measure)
-from polymerlab import gibbs, observables
+from polymerlab import dynamics, observables
 from polymerlab.observables import intersection_counts_batch
 from polymerlab.spectral import Convention, build_basis
 
@@ -117,7 +118,8 @@ def test_sample_ensemble_deterministic():
 
 
 def test_chunk_remainder_handled(monkeypatch):
-    monkeypatch.setattr(gibbs, "_CHUNK", 7)
+    # units of 7 rows at J = 3
+    monkeypatch.setattr(dynamics, "_UNIT_VALUES", 21)
     ens = sample_ensemble(build_basis(3), T=4, beta=0.1, epsilon=0.5,
                           count=50, seed=2)
     assert len(ens) == 50
@@ -131,18 +133,19 @@ def _stationary_sd(basis, conv):
             / np.sqrt(1.0 - basis.rho[1:] ** 2))
 
 
-def _ensemble_oracle(basis, T, epsilon, count, seed, init, conv, chunk):
+def _ensemble_oracle(basis, T, epsilon, count, seed, init, conv, unit):
     """The free recursion as it was before it ran in place: fresh noise,
-    profile and deviation arrays at every step.  A stationary start
-    draws J - 1 normals per replicate for the modes m >= 1.  Returns
-    (R, N_sum)."""
+    profile and deviation arrays at every step, on units of `unit` rows
+    run in order, unit i from counter_rng(seed, 3, i).  A stationary
+    start draws J - 1 normals per replicate for the modes m >= 1.
+    Returns (R, N_sum)."""
     J = basis.J
     sig = (None if conv is Convention.LITERAL
            else mode_innovation_std(basis, conv))
-    rng = counter_rng(seed)
     Rs, Ns = [], []
-    for done in range(0, count, chunk):
-        c = min(chunk, count - done)
+    for index, done in enumerate(range(0, count, unit)):
+        rng = counter_rng(seed, 3, index)
+        c = min(unit, count - done)
         u = ((rng.standard_normal((c, J - 1)) * _stationary_sd(basis, conv))
              @ basis.e[1:] if init == "stationary" else np.zeros((c, J)))
         sq_acc = np.zeros(c)
@@ -160,24 +163,24 @@ def _ensemble_oracle(basis, T, epsilon, count, seed, init, conv, chunk):
     return np.concatenate(Rs), np.concatenate(Ns)
 
 
-# 53 replicates in chunks of 20 leave a remainder chunk of 13; at J = 128
-# each step of a 600-row chunk is counted in a 512-row scan block and an
-# 88-row one, and the remainder chunk has 500 rows
+# 53 replicates in units of 20 leave a remainder unit of 13; at J = 128
+# each step of a 600-row unit is counted in a 512-row scan block and an
+# 88-row one, and the remainder unit has 500 rows
 @pytest.mark.parametrize("conv", [Convention.LITERAL, Convention.PAPER])
 @pytest.mark.parametrize("init", ["zero", "stationary"])
-@pytest.mark.parametrize("J, T, count, chunk", [
+@pytest.mark.parametrize("J, T, count, unit", [
     pytest.param(1, 9, 53, 20, id="1"),
     pytest.param(5, 9, 53, 20, id="5"),
     pytest.param(40, 9, 53, 20, id="40"),
     pytest.param(128, 3, 1100, 600, id="128"),
 ])
 def test_sample_ensemble_equals_allocating_oracle(monkeypatch, conv, init, J,
-                                                  T, count, chunk):
+                                                  T, count, unit):
     b = build_basis(J)
-    monkeypatch.setattr(gibbs, "_CHUNK", chunk)
+    monkeypatch.setattr(dynamics, "_UNIT_VALUES", unit * J)
     ens = sample_ensemble(b, T=T, beta=0.1, epsilon=0.5, count=count,
                           seed=6, init=init, conv=conv)
-    R, n_sum = _ensemble_oracle(b, T, 0.5, count, 6, init, conv, chunk)
+    R, n_sum = _ensemble_oracle(b, T, 0.5, count, 6, init, conv, unit)
     assert np.array_equal(ens.obs["R"], R)
     assert np.array_equal(ens.obs["N_sum"], n_sum)
     assert np.array_equal(ens.log_weights, -0.1 * n_sum.astype(float))
@@ -213,13 +216,13 @@ def test_sample_ensemble_checks_epsilon_before_any_step():
 
 
 def test_sample_ensemble_is_exact_under_thread_contention(monkeypatch):
-    # four concurrent calls on 2 cores, switching threads every
-    # microsecond: calls that shared a buffer or a generator would change
-    # R or N_sum
+    # four concurrent calls on 2 cores, each running its two units on a
+    # pool of its own, switching threads every microsecond: calls or
+    # units that shared a buffer or a generator would change R or N_sum
     b = build_basis(128)
     R, n_sum = _ensemble_oracle(b, 4, 0.5, 700, 3, "zero",
                                 Convention.LITERAL, 600)
-    monkeypatch.setattr(gibbs, "_CHUNK", 600)
+    monkeypatch.setattr(dynamics, "_UNIT_VALUES", 600 * 128)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -232,6 +235,43 @@ def test_sample_ensemble_is_exact_under_thread_contention(monkeypatch):
     for ens in done:
         assert np.array_equal(ens.obs["N_sum"], n_sum)
         assert np.array_equal(ens.obs["R"], R)
+
+
+@pytest.mark.parametrize("conv", [Convention.LITERAL, Convention.PAPER])
+@pytest.mark.parametrize("init", ["zero", "stationary"])
+def test_sample_ensemble_does_not_depend_on_workers(monkeypatch, conv, init):
+    # 1100 rows at J = 128 run as units of 512, 512 and a ragged 76
+    b = build_basis(128)
+    outputs = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(dynamics, "usable_cpus", lambda: workers)
+        ens = sample_ensemble(b, T=3, beta=0.1, epsilon=0.5, count=1100,
+                              seed=8, init=init, conv=conv)
+        outputs.append([ens.obs["R"].tobytes(), ens.obs["N_sum"].tobytes(),
+                        ens.log_weights.tobytes()])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sample_ensemble_working_set_is_bounded(monkeypatch):
+    # at one worker one unit's buffers are alive at a time, so the peak
+    # grows neither with T nor with the number of units; a single batch
+    # of 4096 rows at J = 128 would hold four 4 MB buffers.  numpy
+    # reports its buffers to tracemalloc
+    monkeypatch.setattr(dynamics, "usable_cpus", lambda: 1)
+    b = build_basis(128)
+    # the pair counter's cached index arrays are built outside the trace
+    sample_ensemble(b, 1, 0.1, 0.5, 10, seed=1)
+    peaks = []
+    for T, count in ((2, 1024), (16, 1024), (2, 4096)):
+        tracemalloc.start()
+        try:
+            sample_ensemble(b, T, 0.1, 0.5, count, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 8 * 2 ** 20
+    # 4096 rows keep 8 units' R and N_sum (64 KB) beside the last unit
+    assert max(peaks) - min(peaks) < 2 ** 17
 
 
 @pytest.mark.parametrize("n", [5, 8, 50])

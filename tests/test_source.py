@@ -64,6 +64,14 @@ def test_no_module_imports_warnings():
     assert not _found("warnings")
 
 
+def test_only_dynamics_imports_concurrent_futures():
+    # one pool: every thread the package starts comes from
+    # dynamics.map_costliest_first
+    found = _found("concurrent")
+    assert found
+    assert all(where.startswith("dynamics.py:") for where in found)
+
+
 def test_the_guard_flags_a_lazy_scipy_import():
     tree = ast.parse("import numpy as np\n"
                      "def f(x):\n"
@@ -81,6 +89,17 @@ def test_the_guard_flags_a_warnings_import():
                      "    import os, warnings as w\n"
                      "    warn('x')\n")
     assert _imports_of(tree, "warnings") == [1, 3, 4]
+
+
+def test_the_guard_flags_a_concurrent_import():
+    tree = ast.parse("import concurrent.futures\n"
+                     "def f(fn, items):\n"
+                     "    from concurrent.futures import ThreadPoolExecutor\n"
+                     "    from concurrent import futures as cf\n"
+                     "    import threading\n"
+                     "    with ThreadPoolExecutor() as pool:\n"
+                     "        return list(pool.map(fn, items))\n")
+    assert _imports_of(tree, "concurrent") == [1, 3, 4]
 
 
 def test_the_guard_flags_an_unused_import():
