@@ -89,6 +89,13 @@ def _cmd_spectra(cfg, args) -> int:
 
 def _cmd_simulate(cfg, args) -> int:
     J = cfg.one_width()
+    # a dump is checked before the run, which it would otherwise discard
+    if args.format == "binary":
+        if cfg.output_dir is None:
+            raise ConfigError("binary output needs --out")
+        if cfg.seed >= 1 << 63:
+            raise ConfigError(f"a binary dump holds seeds 0..2^63-1, got "
+                              f"{cfg.seed}")
     traj = simulate_recursion(np.zeros(J), sample_noise(cfg.seed, cfg.T, J),
                               cfg.kappa)
     if args.format == "csv":
@@ -97,8 +104,6 @@ def _cmd_simulate(cfg, args) -> int:
         _write_or_print(rows_to_csv(("t", "n", "u"), rows), cfg.output_dir,
                         "trajectory.csv")
     else:
-        if cfg.output_dir is None:
-            raise ConfigError("binary output needs --out")
         os.makedirs(cfg.output_dir, exist_ok=True)
         path = os.path.join(cfg.output_dir, "trajectory.bin")
         write_trajectory_binary(traj, path)

@@ -4,6 +4,7 @@ histogram with its counting inequalities."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -22,96 +23,68 @@ def radius_of_gyration(traj: Trajectory) -> float:
     return float(np.sqrt(np.mean(dev ** 2)))
 
 
-# pair comparisons in one broadcast call: 512 rows at J = 8, 8 at J = 64.
-# Per call on the strings of the table below, the broadcast took 0.5-0.7x
-# the lag scan's time at 2^15 comparisons for J = 32-128 and 0.8-1.1x for
-# J = 8-16; at 2^16 it took 0.8-1.5x, and at 2^17 (a 1 MB float
-# temporary) 2-8x.  The branch stays for single rows: criterion 5 counts
-# its 100 000 rows at J = 16 one call each, at 6.3-7.0 us per row here
-# against 67-77 us on the lag scan, and took 3.8-5.6 s against 11.3-11.5 s
-# with the branch off (best of 7 and two runs on a 2-core Xeon, numpy
-# 2.4).  Just under the limit it loses: the eight (2000, 4) batches of
-# 32 000 comparisons in criterion 4's sample_ensemble took 325-490 us
-# each broadcast against 180-260 us on the lag scan.
-_BROADCAST_BLOCK = 1 << 15
-# values the lag scan sorts and scans at once: 2^16 float64 values,
-# 512 rows at J = 128, so a block's 0.5 MB temporaries stay in cache
-_SCAN_BLOCK = 1 << 16
-
-
 def intersection_counts_batch(rows: np.ndarray, epsilon: float) -> np.ndarray:
     """Number of ordered site pairs (i, j), diagonal included, with
     |u_i - u_j| <= epsilon, for a batch of configurations: shape
-    (..., J) -> (...).  This is the library's pair counter; the Metropolis
-    chain keeps the masks of near_pairs instead, which give the same
-    counts.
+    (..., J) -> (...).  This is the library's batch pair counter; the
+    Metropolis chain and local_inequality_check count through the masks
+    of near_pairs instead, which give the same counts on finite rows.
 
-    A batch of at most _BROADCAST_BLOCK pair comparisons (rows.size * J),
-    such as one configuration at J <= 181, is one broadcast call.
-    Larger ones run in blocks of at most _SCAN_BLOCK values (512 rows at
-    J = 128, at least one row), each on its own: sort each row and scan
-    lags k = 1, 2, ...: each near pair x[i+k] - x[i] <= eps counts twice
-    on top of the diagonal pairs.  A block is scanned sites-major, as one
-    (J, rows) copy, so each lag's differences are one contiguous run, and
-    its near pairs are summed per row in the narrowest unsigned type that
-    holds J - 1.  In a sorted row that difference only grows with k,
-    rounded or not, so a row with no near pair at lag k has none later:
-    it adds 0 while it rides along, and the live rows are copied out once
-    at most half of them are left.  A block's scan stops when none is
-    live.  Every row's count is the same in any block.  Both paths
-    subtract directly, so they agree on every pair.
+    Sort each row and scan lags k = 1, 2, ...: each near pair
+    x[i+k] - x[i] <= eps counts twice on top of the diagonal pairs.  The
+    batch is scanned sites-major, as one (J, rows) copy, so each lag's
+    differences are one contiguous run, and its near pairs are summed per
+    row in the narrowest unsigned type that holds J - 1.  In a sorted row
+    that difference only grows with k, rounded or not, so a row with no
+    near pair at lag k has none later: it adds 0 while it rides along,
+    and the live rows are copied out once at most half of them are left.
+    The scan stops when none is live.  It subtracts directly, as
+    near_pairs does, so the two agree on every pair.
+
+    The whole batch is sorted and scanned at once, so its temporaries
+    grow with it: callers cut their batches, as sample_ensemble counts
+    units of at most dynamics._UNIT_VALUES values, which stay in cache.
 
     Per row, best of 7 (the lower of two such runs) on a 2-core Xeon
     with numpy 2.4, on free strings at t = 1..64 from the zero profile,
-    eps = 0.5 (b: one broadcast call):
+    eps = 0.5:
 
         rows     J = 16    J = 32    J = 64    J = 128
-           8     1.1 b     2.2 b     7.9 b     20 us
-          64     0.64 b    1.4       2.3       4.8
-         256     0.38      0.58      1.2       2.5
-        2000     0.18      0.32      0.93      2.2
-        4000     0.17      0.38      0.82      2.1
+           8     5.6       9.1       15        24 us
+          64     1.1       1.5       2.7       5.5
+         256     0.35      0.69      1.4       3.1
+         512     0.27      0.51      1.2       2.7
 
-    Few wide rows are the slow end, as a row near the zero profile is
-    scanned to its last lag.  The blocks keep the scan's temporaries at
-    0.5 MB, in cache: on the 64 batches of 2000 rows at J = 128 that the
-    importance-wide benchmark counts, the scan took 0.36-0.42 s in blocks
-    of 2^16 values, 0.48-0.52 s in blocks of 2^14 and 0.71-0.73 s as one
-    block of 2^18 (best of 5, two runs).
+    Few rows are the slow end: each lag costs the same few numpy calls
+    at any batch size, and a row near the zero profile is scanned to its
+    last lag.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     rows = np.asarray(rows, dtype=float)
-    J = rows.shape[-1]
-    if rows.size * J <= _BROADCAST_BLOCK:
-        close = np.abs(rows[..., :, None] - rows[..., None, :]) <= epsilon
-        return close.sum(axis=(-2, -1)).astype(np.int64)
-    flat = rows.reshape(-1, J)
-    out = np.empty(flat.shape[0], dtype=np.int64)
-    block = max(1, _SCAN_BLOCK // J)
+    lead, J = rows.shape[:-1], rows.shape[-1]
+    # sites-major, so each lag's differences are one contiguous run; an
+    # explicit row count keeps the rows of a zero-width batch
+    x = np.sort(rows.reshape(math.prod(lead), J), axis=1).T.copy()
+    out = np.isfinite(x).sum(axis=0, dtype=np.int64)  # near diagonal pairs
+    live = np.arange(x.shape[1])
+    pairs = np.zeros(live.size, dtype=np.int64)
     # a lag adds at most J - 1 near pairs to a row
     lag_sum = np.min_scalar_type(J - 1)
-    for lo in range(0, flat.shape[0], block):
-        # sites-major, so each lag's differences are one contiguous run
-        x = np.sort(flat[lo:lo + block], axis=1).T.copy()
-        res = out[lo:lo + block]
-        res[:] = np.isfinite(x).sum(axis=0)     # the near diagonal pairs
-        live = np.arange(x.shape[1])
-        pairs = np.zeros(live.size, dtype=np.int64)
-        for k in range(1, J):
-            near = (x[k:] - x[:-k] <= epsilon).view(np.uint8).sum(
-                axis=0, dtype=lag_sum)
-            pairs += near
-            n_live = np.count_nonzero(near)
-            if not n_live:
-                break
-            if 2 * n_live <= near.size:
-                res[live] += 2 * pairs
-                keep = near > 0
-                x, live = x[:, keep], live[keep]
-                pairs = np.zeros(live.size, dtype=np.int64)
-        res[live] += 2 * pairs
-    return out.reshape(rows.shape[:-1])
+    for k in range(1, J):
+        near = (x[k:] - x[:-k] <= epsilon).view(np.uint8).sum(
+            axis=0, dtype=lag_sum)
+        pairs += near
+        n_live = np.count_nonzero(near)
+        if not n_live:
+            break
+        if 2 * n_live <= near.size:
+            out[live] += 2 * pairs
+            keep = near > 0
+            x, live = x[:, keep], live[keep]
+            pairs = np.zeros(live.size, dtype=np.int64)
+    out[live] += 2 * pairs
+    return out.reshape(lead)
 
 
 # near_pairs takes the pair differences as one product rows @ D while the
@@ -242,7 +215,9 @@ def local_inequality_check(row, epsilon: float, alpha: float = 0.0,
     (sum of l over the window)^2 / (number of window bins) <= sum l^2 <= N.
     """
     hist = occupancy_histogram(row, epsilon, alpha)
-    N = int(intersection_counts_batch(row, epsilon))
+    # occupancy_histogram took one row of finite sites, as near_pairs needs
+    x = np.asarray(row, dtype=float)
+    N = x.size + 2 * int(np.count_nonzero(near_pairs(x, epsilon)))
     sq = sum(v * v for v in hist.values())
     rep = dict(lhs=N, rhs=sq, holds=N >= sq)
     if window is not None:

@@ -48,10 +48,11 @@ class Basis:
 
     J: int
     kappa: float = 0.5
-    rho: np.ndarray = field(repr=False, default=None)
-    a: np.ndarray = field(repr=False, default=None)
-    phi: np.ndarray = field(repr=False, default=None)
-    e: np.ndarray = field(repr=False, default=None)
+    # computed from J and kappa, never passed in
+    rho: np.ndarray = field(init=False, repr=False)
+    a: np.ndarray = field(init=False, repr=False)
+    phi: np.ndarray = field(init=False, repr=False)
+    e: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         J = self.J

@@ -8,6 +8,7 @@ import sys
 import sysconfig
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +54,25 @@ def test_simulate_csv_and_binary(tmp_path, capsys):
     assert code2 == 0
     files = os.listdir(tmp_path)
     assert any(f.endswith(".bin") for f in files)
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 63), str(2 ** 64)])
+def test_simulate_binary_seed_out_of_range_exits_two_before_the_run(
+        tmp_path, capsys, seed):
+    # the dump's header holds seeds 0..2^63-1: a larger one is refused
+    # before the string is simulated, and no directory is made
+    out = tmp_path / "dump"
+    with mock.patch("polymerlab.cli.simulate_recursion") as simulate:
+        code, _, err = run(capsys, "simulate", "--J", "4", "--T", "2",
+                           "--seed", seed, "--format", "binary", "--out",
+                           str(out))
+    assert code == 2
+    assert "configuration error" in err and "2^63-1" in err
+    assert not simulate.called and not out.exists()
+    # the CSV stores no seed, so it takes any
+    code, _, _ = run(capsys, "simulate", "--J", "4", "--T", "2", "--seed",
+                     seed, "--out", str(out))
+    assert code == 0 and (out / "trajectory.csv").exists()
 
 
 def test_simulate_csv_keeps_the_trajectory_format(tmp_path, capsys):

@@ -292,6 +292,25 @@ def test_binary_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_binary_round_trips_the_largest_seed_and_no_seed(tmp_path):
+    u = np.arange(6.0).reshape(3, 2)
+    for seed in (0, 2 ** 63 - 1, None):
+        path = tmp_path / f"s{seed}.bin"
+        write_trajectory_binary(Trajectory(u, seed=seed), path)
+        back = read_trajectory_binary(path)
+        assert back.seed == seed and np.array_equal(back.u, u)
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 2 ** 63, 2 ** 64])
+def test_binary_rejects_a_seed_the_header_cannot_hold(tmp_path, seed):
+    # -1 would read back as no seed, and 2^63 does not fit the field
+    path = tmp_path / "s.bin"
+    with pytest.raises(ValueError, match="seeds 0..2\\^63-1"):
+        write_trajectory_binary(Trajectory(np.zeros((3, 2)), seed=seed),
+                                path)
+    assert not path.exists()
+
+
 def test_binary_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 40)

@@ -164,8 +164,8 @@ def _ensemble_oracle(basis, T, epsilon, count, seed, init, conv, unit):
 
 
 # 53 replicates in units of 20 leave a remainder unit of 13; at J = 128
-# each step of a 600-row unit is counted in a 512-row scan block and an
-# 88-row one, and the remainder unit has 500 rows
+# the pair counter counts each step of a 600-row unit, wider than the
+# package's 512-row units, in one call, and the remainder unit has 500 rows
 @pytest.mark.parametrize("conv", [Convention.LITERAL, Convention.PAPER])
 @pytest.mark.parametrize("init", ["zero", "stationary"])
 @pytest.mark.parametrize("J, T, count, unit", [

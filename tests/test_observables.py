@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from polymerlab import observables
 from polymerlab.dynamics import sample_noise, simulate_recursion
-from polymerlab.observables import (_BROADCAST_BLOCK, _pair_index,
-                                    intersection_counts_batch,
+from polymerlab.observables import (_pair_index, intersection_counts_batch,
                                     local_inequality_check, near_pairs,
                                     occupancy_histogram, radius_of_gyration)
 
@@ -36,9 +35,9 @@ def test_radius_of_gyration_hand_value():
 def test_count_constant_row_is_square():
     row = np.zeros(7)
     assert intersection_counts_batch(row, 0.5) == 49
-    # past the broadcast limit the lag scan must run to lag J - 1
-    for J in (1, 2, 7, 64, 130):
-        rows = np.zeros((_BROADCAST_BLOCK // (J * J) + 1, J))
+    # the lag scan must run to lag J - 1 on every row
+    for J, n in ((1, 32769), (2, 8193), (7, 669), (64, 9), (130, 2)):
+        rows = np.zeros((n, J))
         counts = intersection_counts_batch(rows, 0.5)
         assert counts.tolist() == [J * J] * len(rows)
 
@@ -75,12 +74,11 @@ def test_count_sorted_equals_brute(grid_values, grid_eps):
             == intersection_counts_brute(row, eps))
 
 
-# widths 1-24, 33-64 and 65-130 with batches on both sides of the one-call
-# broadcast limit, _BROADCAST_BLOCK // J^2 rows (32768 at J = 1, 8 at
-# J = 64, 1 at J = 130), so both the broadcast and the lag scan see every
-# width.  Small batches are drawn as hypothesis lists on the dyadic
-# lattice; large ones come from a numpy generator seeded by hypothesis,
-# either on the lattice (multiples of the grid eps plus an offset of -1, 0
+# widths 1-24, 33-64 and 65-130 in batches of up to 2^16 pair comparisons
+# (65537 rows at J = 1, 17 at J = 64, 4 at J = 130), which keeps the
+# oracle's (rows, J, J) temporary near 0.5 MB.  Small batches are drawn as
+# hypothesis lists on the dyadic lattice; large ones come from a numpy
+# generator seeded by hypothesis, either on the lattice (multiples of the grid eps plus an offset of -1, 0
 # or 1, so many pairs lie exactly eps apart) or off it (scaled standard
 # normals, half the sites shifted by eps from another site, so many
 # differences round to either side of eps)
@@ -89,7 +87,7 @@ def test_count_sorted_equals_brute(grid_values, grid_eps):
                  st.integers(65, 130)),
        st.integers(1, 10240), st.sampled_from(("list", "grid", "normal")),
        st.data())
-def test_batch_counts_equal_brute_both_paths(J, grid_eps, kind, data):
+def test_batch_counts_equal_brute(J, grid_eps, kind, data):
     eps = grid_eps / 1024.0
     if kind == "list":
         k = data.draw(st.integers(1, 4))
@@ -97,7 +95,7 @@ def test_batch_counts_equal_brute_both_paths(J, grid_eps, kind, data):
                                   min_size=k * J, max_size=k * J))
         rows = np.array(grid, dtype=float).reshape(k, J) / 1024.0
     else:
-        top = 2 * (_BROADCAST_BLOCK // (J * J)) + 1
+        top = (1 << 16) // (J * J) + 1
         k = data.draw(st.integers(1, top))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         if kind == "grid":
@@ -125,7 +123,7 @@ def test_rounded_and_non_finite_rows_count_like_the_oracle(row, eps, expect):
     with np.errstate(invalid="ignore"):
         assert intersection_counts_brute(row, eps) == expect
         assert intersection_counts_batch(row, eps) == expect
-        rows = np.tile(row, (16, 1))             # past the broadcast limit
+        rows = np.tile(row, (16, 1))
         assert intersection_counts_batch(rows, eps).tolist() == [expect] * 16
 
 
@@ -199,20 +197,20 @@ def _brute_by_slices(rows, epsilon):
     return np.concatenate(parts).reshape(rows.shape[:-1])
 
 
-# a (3, b, J) batch of 3b rows with b = block + block // 5 + 1: three full
-# scan blocks of _SCAN_BLOCK // J rows and a remainder block.  The first
-# block's sites lie 10 eps apart, so every one of its rows drops out at
-# lag 1 and its scan stops there; after it, row scales fall from 1e3 eps
-# to 1e-2 eps, so rows drop out at many different lags and the last ones
-# are scanned to lag J - 1.  Half the rows sit on a lattice of eps, where
-# many pairs lie exactly eps apart; some rows hold a nan or infinite site;
+# a (3, b, J) batch of 3b = 1845 rows, b = block + block // 5 + 1 with
+# blocks of 512 rows.  The first block's sites lie 10 eps apart, so every
+# one of its rows drops out at lag 1; after it, row scales fall from
+# 1e3 eps to 1e-2 eps, so rows drop out at many different lags, the live
+# rows are copied out as they thin, and the last ones are scanned to lag
+# J - 1.  Half the rows sit on a lattice of eps, where many pairs lie
+# exactly eps apart; some rows hold a nan or infinite site;
 # at J = 65 the rounding row above starts each block.  The last rows are
 # near at every lag, so at J = 257 lag 1 alone adds 256 pairs to a row:
 # J = 255-257 and 300 take the per-lag sums past one byte.
 @pytest.mark.parametrize("J", [65, 128, 130, 255, 256, 257, 300])
 def test_batch_counts_equal_brute_across_scan_blocks(J):
     eps = 0.2
-    block = observables._SCAN_BLOCK // J
+    block = 512
     b = block + block // 5 + 1
     n = 3 * b
     rng = np.random.default_rng(J)
@@ -238,11 +236,45 @@ def test_batch_counts_equal_brute_across_scan_blocks(J):
     assert flat[:block].max() <= J and flat[-1] > J * J // 2
 
 
-def test_batch_counts_keep_leading_shape_across_blocks():
+def test_batch_counts_keep_leading_shape():
     rows = np.random.default_rng(2).normal(size=(3, 25, 48))
     counts = intersection_counts_batch(rows, 0.3)
     assert counts.shape == (3, 25)
     assert counts.tolist() == intersection_counts_brute(rows, 0.3).tolist()
+    rows = np.random.default_rng(3).normal(size=(2, 3, 40))
+    counts = intersection_counts_batch(rows, 0.3)
+    assert counts.shape == (2, 3)
+    assert counts.tolist() == intersection_counts_brute(rows, 0.3).tolist()
+    assert intersection_counts_batch(np.zeros((0, 40)), 0.3).shape == (0,)
+
+
+def test_zero_width_rows_count_nothing():
+    # no site, no pair; the batch keeps its rows
+    counts = intersection_counts_batch(np.zeros((3, 0)), 0.5)
+    assert counts.shape == (3,) and counts.tolist() == [0, 0, 0]
+    assert intersection_counts_batch(np.zeros(0), 0.5) == 0
+    assert intersection_counts_batch(np.zeros((2, 0, 0)), 0.5).shape == (2, 0)
+
+
+# local_inequality_check counts its row through near_pairs: on dyadic rows,
+# where many pairs lie exactly eps apart, and on both of near_pairs' paths
+# (rows up to 32 sites wide take the product, wider ones the shifts), its
+# count is the counter's
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-51200, 51200), min_size=1, max_size=80),
+       st.integers(1, 10240))
+def test_inequality_count_equals_the_counter(grid_values, grid_eps):
+    row = np.array(grid_values, dtype=float) / 1024.0
+    eps = grid_eps / 1024.0
+    assert (local_inequality_check(row, eps).lhs
+            == intersection_counts_batch(row, eps))
+
+
+def test_inequality_count_on_the_rounding_row():
+    # fl(0.30000000000000004 - 0.1) = 0.20000000000000004 > 0.2
+    row = np.concatenate(([0.1, 0.30000000000000004], 10.0 * np.arange(1, 64)))
+    rep = local_inequality_check(row, 0.2)
+    assert rep.lhs == intersection_counts_batch(row, 0.2) == 65
 
 
 def test_occupancy_histogram_totals():

@@ -155,3 +155,12 @@ def test_basis_is_frozen():
     with pytest.raises(AttributeError):
         b.J = 5
     assert isinstance(b, Basis)
+
+
+@pytest.mark.parametrize("name", ["rho", "a", "phi", "e"])
+def test_basis_arrays_are_not_constructor_arguments(name):
+    # the arrays follow from J and kappa: one passed in would be dropped
+    # for the cosine basis without a word
+    with pytest.raises(TypeError, match=name):
+        Basis(J=4, **{name: np.zeros(4)})
+    assert np.array_equal(Basis(J=4).e, build_basis(4).e)

@@ -145,11 +145,15 @@ def main(argv=None) -> int:
     with open(os.path.join(root, "perfbench", "baseline.json"),
               encoding="utf-8") as fh:
         seeds = json.load(fh)["seeds"]
+    workloads = [w["name"] for w in bench_spec["workloads"]]
     plan = []
     for item in args.pairs:
         name, _, n = item.partition("=")
         if not n.isdigit() or not 0 < int(n) <= len(seeds):
             ap.error(f"--pairs wants WORKLOAD=N with 1 <= N <= {len(seeds)}")
+        if name not in workloads:
+            ap.error(f"--pairs: unknown workload {name!r}; BENCHMARK.json "
+                     f"has {', '.join(workloads)}")
         plan.append((name, int(n)))
     base = git(root, "rev-parse", args.base).decode().strip()
 
