@@ -13,9 +13,8 @@ from .ar1 import (AR1Params, DegenerateProcessError, cumulant_threshold,
                   legendre_rate, mode_decompose, rate_function,
                   reconstruct_centered, tail_probe)
 from .dynamics import (FreeModes, NoiseField, Trajectory, counter_rng,
-                       free_modes, mode_innovation_std, neumann_laplacian,
-                       read_trajectory_binary, sample_noise,
-                       simulate_recursion, solution_formula,
+                       free_modes, neumann_laplacian, read_trajectory_binary,
+                       sample_noise, simulate_recursion, solution_formula,
                        write_trajectory_binary)
 from .experiments import (ConfigError, Report, StudyConfig, emit_report,
                           load_config, parse_config_text, parse_report_csv,

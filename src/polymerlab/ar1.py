@@ -208,9 +208,10 @@ def tail_probe(params: AR1Params, T: int, K: float, samples: int,
     """
     _check_positive_sigma(params)
     stat_mean = params.sigma2 / (1.0 - params.rho ** 2)
-    if K <= stat_mean:
-        raise ValueError(
-            f"threshold K={K} must exceed the stationary mean {stat_mean}")
+    # written so that a nan K fails it too
+    if not stat_mean < K < math.inf:
+        raise ValueError(f"threshold K={K} must be finite and exceed the "
+                         f"stationary mean {stat_mean}")
     if T < 1 or samples < 1:
         raise ValueError("T and samples must be positive")
     sigma = np.sqrt(params.sigma2)

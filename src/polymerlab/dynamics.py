@@ -198,18 +198,6 @@ def solution_formula(u0, noise: NoiseField, basis: Basis,
     return Trajectory(u=u, kappa=basis.kappa, convention=conv, seed=noise.seed)
 
 
-def mode_innovation_std(basis: Basis, conv: Convention) -> np.ndarray:
-    """Per-mode AR(1) innovation standard deviation in the e basis.
-
-    LITERAL: 1 for every mode.  PAPER: |rho_m| * sqrt(J/2); the extra
-    smoothing step scales the innovation by rho_m and the single-amplitude
-    kernel leaves a factor sqrt(J/2) against the orthonormal basis.
-    """
-    if conv is Convention.LITERAL:
-        return np.ones(basis.J)
-    return np.abs(basis.rho) * np.sqrt(basis.J / 2.0)
-
-
 @dataclass(frozen=True)
 class FreeModes:
     """The free law of the modes m >= 1: X_t = rho X_(t-1) + sig xi_t with
@@ -250,11 +238,15 @@ class FreeModes:
 
 def free_modes(basis: Basis, conv: Convention, init: str) -> FreeModes:
     """The free law of the modes m >= 1 under a convention, started from
-    zero (init "zero") or from the stationary law (init "stationary")."""
+    zero (init "zero") or from the stationary law (init "stationary").
+    LITERAL's innovations are 1, PAPER's |rho_m| sqrt(J/2): its extra
+    smoothing step scales mode m by rho_m and its single-amplitude
+    kernel by sqrt(J/2) against the orthonormal basis."""
     if init not in ("zero", "stationary"):
         raise ValueError(f"unknown init {init!r}")
     rho = basis.rho[1:]
-    sig = mode_innovation_std(basis, conv)[1:]
+    sig = (np.ones(basis.J - 1) if conv is Convention.LITERAL
+           else np.abs(rho) * np.sqrt(basis.J / 2.0))
     x0 = (sig / np.sqrt(1.0 - rho ** 2) if init == "stationary"
           else np.zeros(basis.J - 1))
     return FreeModes(rho=rho, sig=sig, x0=x0, e1=basis.e[1:])

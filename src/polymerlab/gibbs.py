@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (FreeModes, counter_rng, free_modes, map_units,
-                       mode_innovation_std, neumann_laplacian)
+                       neumann_laplacian)
 from .observables import intersection_counts_batch, near_pairs
 from .spectral import Basis, Convention
 
@@ -135,9 +135,9 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
         raise ValueError(f"T and count must be positive, got T={T}, "
                          f"count={count}")
     J = basis.J
-    # LITERAL drives every mode with unit innovations: white site noise
-    sig = (None if conv is Convention.LITERAL
-           else mode_innovation_std(basis, conv))
+    # PAPER's mode innovations are the law of sqrt(J/2) P xi for white
+    # site noise xi, so its step is P (u + sqrt(J/2) xi); LITERAL's P u + xi
+    scale = None if conv is Convention.LITERAL else math.sqrt(J / 2.0)
 
     def run(index, c):
         rng = counter_rng(seed, 3, index)
@@ -146,22 +146,21 @@ def sample_ensemble(basis: Basis, T: int, beta: float, epsilon: float,
              else np.zeros((c, J)))
         lap = np.empty((c, J))
         xi = np.empty((c, J))
-        # the deviation buffer doubles as the mode-to-site product
         dev = np.empty((c, J))
-        step = xi if sig is None else dev
         mean = np.empty((c, 1))
         sq = np.empty(c)
         sq_acc = np.zeros(c)
         n_acc = np.zeros(c, dtype=np.int64)
         for _ in range(T):
             rng.standard_normal(out=xi)
-            if sig is not None:
-                xi *= sig
-                np.matmul(xi, basis.e, out=dev)
+            if scale is not None:
+                xi *= scale
+                u += xi
             neumann_laplacian(u, out=lap)
             lap *= basis.kappa
             u += lap
-            u += step
+            if scale is None:
+                u += xi
             np.mean(u, axis=1, keepdims=True, out=mean)
             np.subtract(u, mean, out=dev)
             np.square(dev, out=dev)

@@ -176,7 +176,8 @@ def near_pairs(rows: np.ndarray, epsilon: float) -> np.ndarray:
 def occupancy_histogram(row, epsilon: float, alpha: float = 0.0) -> dict:
     """Occupancies {z: l(z)} of the occupied half-open bins
     (z*eps - alpha*eps, z*eps + (1-alpha)*eps] of one row of finite
-    sites; every site lands in exactly one bin."""
+    sites; every site lands in exactly one bin, or a bin past int64
+    raises ValueError."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not (0.0 <= alpha <= 1.0):
@@ -188,7 +189,11 @@ def occupancy_histogram(row, epsilon: float, alpha: float = 0.0) -> dict:
     if not np.isfinite(x).all():
         raise ValueError("need one row of finite sites, got a non-finite one")
     # x in (z*e - a*e, z*e + (1-a)*e]  <=>  x/e + a in (z, z+1]
-    z = np.ceil(x / epsilon + alpha).astype(np.int64) - 1
+    with np.errstate(over="ignore"):
+        c = np.ceil(x / epsilon + alpha)
+    if not (np.abs(c) < 2.0 ** 63).all():      # an inf c fails too
+        raise ValueError(f"a site's bin at epsilon={epsilon} is past int64")
+    z = c.astype(np.int64) - 1
     vals, cnts = np.unique(z, return_counts=True)
     return dict(zip(vals.tolist(), cnts.tolist()))
 

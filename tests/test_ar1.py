@@ -2,6 +2,7 @@ import itertools
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -236,6 +237,17 @@ def test_tail_probe_threshold_precondition():
         tail_probe(p, T=10, K=1.0, samples=100)    # below stationary mean
     with pytest.raises(ValueError):
         tail_probe(p, T=0, K=3.0, samples=100)
+
+
+@pytest.mark.parametrize("K", [float("nan"), float("inf"), float("-inf")])
+def test_tail_probe_rejects_a_non_finite_threshold_before_any_draw(K):
+    # a nan K passed the K <= stationary-mean check and ran every draw;
+    # an infinite one returned a row
+    p = AR1Params(rho=0.5, sigma2=1.0)
+    with mock.patch("polymerlab.ar1.counter_rng") as rng:
+        with pytest.raises(ValueError, match="must be finite"):
+            tail_probe(p, T=10, K=K, samples=200_000)
+    assert not rng.called
 
 
 def test_tail_probe_counts_and_rate():

@@ -1,7 +1,7 @@
 """The pair summary and the argument checks of tools/bench_pairs.py.
 
 The tool is a script outside the package, so it is loaded from its
-file; neither test runs a benchmark.
+file; no test runs a benchmark.
 """
 
 import importlib.util
@@ -52,4 +52,22 @@ def test_unknown_workload_exits_two_before_anything_runs(tmp_path, capsys,
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert "unknown workload" in err and "importance-wide" in err
+    assert not out.exists()
+
+
+def test_repeated_workload_exits_two_before_anything_runs(tmp_path, capsys,
+                                                          monkeypatch):
+    # the second entry's pairs overwrote the first's in the file
+    tool = _tool()
+
+    def ran(*args, **kwargs):
+        raise AssertionError("the tool ran a command")
+
+    monkeypatch.setattr(tool.subprocess, "run", ran)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["--out", str(out), "--base", "HEAD", "--pairs",
+                   "importance-wide=2", "importance-wide=3"])
+    assert exit_.value.code == 2
+    assert "'importance-wide' given twice" in capsys.readouterr().err
     assert not out.exists()

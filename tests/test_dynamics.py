@@ -7,11 +7,10 @@ import pytest
 from polymerlab import dynamics
 from polymerlab.dynamics import (NoiseField, Trajectory, counter_rng,
                                  free_modes, map_costliest_first, map_units,
-                                 mode_innovation_std,
                                  neumann_laplacian, read_trajectory_binary,
                                  sample_noise, simulate_recursion,
                                  solution_formula, write_trajectory_binary)
-from polymerlab.spectral import Convention, build_basis
+from polymerlab.spectral import Convention, build_basis, transition_matrix
 
 
 def test_counter_rng_reproducible_and_stream_separated():
@@ -191,10 +190,23 @@ def test_paper_solution_is_the_literal_recursion_of_smoothed_noise(J, kappa):
 
 def test_mode_innovation_std_by_convention():
     b = build_basis(8)
-    lit = mode_innovation_std(b, Convention.LITERAL)
+    lit = free_modes(b, Convention.LITERAL, "zero").sig
     assert np.allclose(lit, 1.0)
-    pap = mode_innovation_std(b, Convention.PAPER)
-    assert np.allclose(pap, np.abs(b.rho) * np.sqrt(8 / 2.0))
+    pap = free_modes(b, Convention.PAPER, "zero").sig
+    assert np.allclose(pap, np.abs(b.rho[1:]) * np.sqrt(8 / 2.0))
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.3])
+@pytest.mark.parametrize("J", [2, 3, 8, 33])
+def test_paper_innovations_are_the_law_of_propagated_site_noise(J, kappa):
+    # sample_ensemble steps PAPER as P (u + sqrt(J/2) xi): about the mean,
+    # sqrt(J/2) P xi has covariance (J/2) (P P^T - 1 1^T / J), which the
+    # modes' innovations must carry
+    modes = free_modes(build_basis(J, kappa), Convention.PAPER, "zero")
+    P = transition_matrix(J, kappa)
+    cov = modes.e1.T @ (modes.sig[:, None] ** 2 * modes.e1)
+    want = (J / 2.0) * (P @ P.T - np.full((J, J), 1.0 / J))
+    assert np.abs(cov - want).max() <= 1e-12 * J
 
 
 def test_free_modes_stationary_deviation_closed_form():

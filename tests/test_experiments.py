@@ -19,7 +19,7 @@ from polymerlab.experiments import (ConfigError, Report, StudyConfig,
                                     run_scaling_study, run_tail_probes,
                                     run_validation_suite,
                                     scaling_exact_r2, validation_manifest)
-from polymerlab.dynamics import counter_rng, mode_innovation_std
+from polymerlab.dynamics import counter_rng
 from polymerlab.gibbs import SamplerDegeneracyError
 from polymerlab.spectral import MAX_J, Convention, build_basis
 
@@ -125,11 +125,19 @@ def test_exact_r2_stationary_closed_forms():
         assert got == pytest.approx(val, rel=1e-12)
 
 
+def _innovation_sd(basis, conv):
+    """The innovation sd of the modes m >= 1, written out by hand: 1
+    under LITERAL, |rho_m| sqrt(J/2) under PAPER."""
+    if conv is Convention.LITERAL:
+        return np.ones(basis.J - 1)
+    return np.abs(basis.rho[1:]) * np.sqrt(basis.J / 2.0)
+
+
 def test_exact_r2_zero_init_matches_recursion():
     b = build_basis(6)
     T = 40
     # independent accumulation: per-mode variance recursion
-    sig2 = mode_innovation_std(b, Convention.LITERAL)[1:] ** 2
+    sig2 = _innovation_sd(b, Convention.LITERAL) ** 2
     var = np.zeros(5)
     acc = 0.0
     for _ in range(T):
@@ -146,7 +154,7 @@ def _stationary_mode_r_oracle(basis, T, reps, rng, conv):
     """The stationary mode loop as it was before it ran in place: fresh
     mode and noise arrays at every step, from the stationary deviation
     sig / sqrt(1 - rho^2) of each mode m >= 1."""
-    sig = mode_innovation_std(basis, conv)[1:]
+    sig = _innovation_sd(basis, conv)
     rho = basis.rho[1:]
     sd = sig / np.sqrt(1.0 - rho ** 2)
     X = sd * rng.standard_normal((reps, len(rho)))
@@ -199,9 +207,9 @@ def test_scaling_study_deterministic(tmp_path):
 
 def test_scaling_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     # one worker shows the start order; at more, threads may record
-    # their starts out of order.  The beta > 0 importance study runs
-    # each cell's replicates as 64 to 256-row units on a pool of its own,
-    # inside the cell pool
+    # their starts out of order.  The beta > 0 importance studies, under
+    # either convention, run each cell's replicates as 64 to 256-row
+    # units on a pool of its own, inside the cell pool
     monkeypatch.setattr(dynamics, "_UNIT_VALUES", 1024)
     cell = ex._scaling_cell
     started = []
@@ -212,7 +220,10 @@ def test_scaling_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ex, "_scaling_cell", recording_cell)
     for name, kw in (("free", {}),
-                     ("importance", dict(beta=0.002, sampler="importance"))):
+                     ("importance", dict(beta=0.002, sampler="importance")),
+                     ("paper-importance",
+                      dict(beta=0.002, sampler="importance",
+                           convention=Convention.PAPER))):
         outputs = []
         for workers in (1, 2, 4):
             monkeypatch.setattr(dynamics, "usable_cpus", lambda: workers)

@@ -11,8 +11,7 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import chi2, ks_2samp, kstest, norm
 
-from polymerlab.dynamics import (counter_rng, free_modes,
-                                 mode_innovation_std, neumann_laplacian)
+from polymerlab.dynamics import counter_rng, free_modes, neumann_laplacian
 from polymerlab.experiments import _stationary_mode_r, scaling_exact_r2
 from polymerlab.gibbs import (SamplerDegeneracyError, WeightedEnsemble,
                               _NoiseChain,
@@ -127,21 +126,27 @@ def test_chunk_remainder_handled(monkeypatch):
     assert np.all(ens.obs["N_sum"] >= 4 * 3)      # self pairs at least
 
 
+def _innovation_sd(basis, conv):
+    """The innovation sd of the modes m >= 1, written out by hand: 1
+    under LITERAL, |rho_m| sqrt(J/2) under PAPER."""
+    if conv is Convention.LITERAL:
+        return np.ones(basis.J - 1)
+    return np.abs(basis.rho[1:]) * np.sqrt(basis.J / 2.0)
+
+
 def _stationary_sd(basis, conv):
     """sig / sqrt(1 - rho^2) for the modes m >= 1."""
-    return (mode_innovation_std(basis, conv)[1:]
-            / np.sqrt(1.0 - basis.rho[1:] ** 2))
+    return _innovation_sd(basis, conv) / np.sqrt(1.0 - basis.rho[1:] ** 2)
 
 
 def _ensemble_oracle(basis, T, epsilon, count, seed, init, conv, unit):
     """The free recursion as it was before it ran in place: fresh noise,
     profile and deviation arrays at every step, on units of `unit` rows
     run in order, unit i from counter_rng(seed, 3, i).  A stationary
-    start draws J - 1 normals per replicate for the modes m >= 1.
-    Returns (R, N_sum)."""
+    start draws J - 1 normals per replicate for the modes m >= 1.  A
+    LITERAL step is P u + xi, a PAPER step P (u + sqrt(J/2) xi), with
+    P v = v + kappa Lap v.  Returns (R, N_sum)."""
     J = basis.J
-    sig = (None if conv is Convention.LITERAL
-           else mode_innovation_std(basis, conv))
     Rs, Ns = [], []
     for index, done in enumerate(range(0, count, unit)):
         rng = counter_rng(seed, 3, index)
@@ -152,9 +157,11 @@ def _ensemble_oracle(basis, T, epsilon, count, seed, init, conv, unit):
         n_acc = np.zeros(c, dtype=np.int64)
         for _ in range(T):
             xi = rng.standard_normal((c, J))
-            if sig is not None:
-                xi = (xi * sig) @ basis.e
-            u = u + basis.kappa * neumann_laplacian(u) + xi
+            if conv is Convention.LITERAL:
+                u = u + basis.kappa * neumann_laplacian(u) + xi
+            else:
+                v = u + np.sqrt(J / 2.0) * xi
+                u = v + basis.kappa * neumann_laplacian(v)
             dev = u - u.mean(axis=1, keepdims=True)
             sq_acc += (dev ** 2).sum(axis=1)
             n_acc += intersection_counts_batch(u, epsilon)
@@ -197,6 +204,30 @@ def test_sample_ensemble_matches_closed_form_r2(conv, init):
     r2 = ens.obs["R"] ** 2
     exact = scaling_exact_r2(b, 32, conv, init)
     assert abs(r2.mean() - exact) <= 4 * r2.std(ddof=1) / np.sqrt(len(r2))
+
+
+def test_paper_stationary_ensemble_has_the_stationary_mode_law():
+    # PAPER's site step P (u + sqrt(J/2) xi) must give R the law of R
+    # over the stationary mode recursion; seeds fixed before the first run
+    b = build_basis(8)
+    ens = sample_ensemble(b, 16, 0.0, 0.5, 4000, seed=2901,
+                          init="stationary", conv=Convention.PAPER)
+    direct = _stationary_mode_r(b, 16, 4000, counter_rng(2902),
+                                Convention.PAPER)
+    ks = ks_2samp(ens.obs["R"], direct)
+    assert ks.pvalue > 0.01, ks.pvalue
+
+
+@pytest.mark.parametrize("init", ["zero", "stationary"])
+def test_paper_two_site_ensemble_stays_frozen(init):
+    # at J = 2, kappa = 1/2 the one mode has rho = 0, so PAPER gives it no
+    # innovation; the site step P (u + xi) leaves the two sites equal only
+    # up to rounding
+    T = 8
+    ens = sample_ensemble(build_basis(2), T, 0.0, 0.5, 500, seed=3,
+                          init=init, conv=Convention.PAPER)
+    assert ens.obs["R"].max() <= 1e-12
+    assert np.array_equal(ens.obs["N_sum"], np.full(500, 4 * T))
 
 
 def test_sample_ensemble_rejects_unknown_init():
@@ -516,7 +547,7 @@ class _ReferenceChain:
         self.rng, self.init, self.scale = rng, init, scale
         self.keep = np.sqrt(1.0 - scale * scale)
         self.rho = basis.rho[1:]
-        self.sig = mode_innovation_std(basis, conv)[1:]
+        self.sig = _innovation_sd(basis, conv)
         self.e1 = basis.e[1:]
         self.x0_scale = (_stationary_sd(basis, conv) if init == "stationary"
                          else np.zeros(self.J - 1))

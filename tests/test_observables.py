@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -347,3 +348,16 @@ def test_observables_take_one_row(rows):
         occupancy_histogram(rows, 0.5)
     with pytest.raises(ValueError, match="one row"):
         local_inequality_check(rows, 0.5)
+
+
+@pytest.mark.parametrize("row, eps", [(np.array([1e300, 0.0]), 0.5),
+                                      (np.array([1.0, 0.0]), 1e-320)])
+def test_observables_reject_rows_past_the_int64_bins(row, eps):
+    # a bin index past int64, or an overflowed x / eps, gave a garbage bin
+    # behind a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="past int64"):
+            occupancy_histogram(row, eps)
+        with pytest.raises(ValueError, match="past int64"):
+            local_inequality_check(row, eps)

@@ -154,6 +154,9 @@ def main(argv=None) -> int:
         if name not in workloads:
             ap.error(f"--pairs: unknown workload {name!r}; BENCHMARK.json "
                      f"has {', '.join(workloads)}")
+        # a second entry would overwrite the first one's pairs in the file
+        if name in dict(plan):
+            ap.error(f"--pairs: workload {name!r} given twice")
         plan.append((name, int(n)))
     base = git(root, "rev-parse", args.base).decode().strip()
 
